@@ -9,9 +9,9 @@ import (
 	"ucpc/internal/uncertain"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the O(m)
-// incremental scoring of Corollary 1 versus from-scratch recomputation, and
-// the relocation search of Algorithm 1 versus the batch (Lloyd) variant.
+// Ablation benchmarks for two design choices: the O(m) incremental scoring
+// of Corollary 1 versus from-scratch recomputation, and the relocation
+// search of Algorithm 1 versus the batch (Lloyd) variant.
 
 func benchCluster(n, m int) []*uncertain.Object {
 	return randomCluster(rng.New(42), n, m)
@@ -81,7 +81,7 @@ func benchAssignStep(b *testing.B, workers int) {
 	ds := uncertain.Dataset(benchCluster(20000, 8))
 	mom := uncertain.MomentsOf(ds)
 	assign := clustering.RandomPartition(len(ds), 8, rng.New(3))
-	cs := &centroidScores{k: 8, m: 8, mean: make([]float64, 8*8), bias: make([]float64, 8)}
+	cs := newCentroidScores(8, 8, len(ds))
 	cs.refresh(mom, assign)
 	eng := NewAssigner(mom, 8, false)
 	adds := make([]float64, 8)

@@ -15,9 +15,9 @@ import (
 //	pruned + scanned == n·k·Passes()
 //
 // regardless of the bound regime (first-pass boxes, Elkan full bounds, the
-// Hamerly fallback, the bound-free exhaustive reference) and of whether the
-// reduced-form pre-filter is active. Whole-object and whole-block skips must
-// credit every pair they cover for the identity to hold.
+// Hamerly fallback, the bound-free exhaustive reference). Whole-object and
+// whole-block skips must credit every pair they cover for the identity to
+// hold.
 func TestAssignerCounterConservation(t *testing.T) {
 	k, m := 5, 3
 	mom := pruneTestMoments(3, k, 40, m)
@@ -26,19 +26,15 @@ func TestAssignerCounterConservation(t *testing.T) {
 	cases := []struct {
 		name    string
 		enabled bool
-		reduced bool
 		hamerly bool // force the shared-lower-bound fallback regime
 	}{
-		{"exhaustive", false, false, false},
-		{"elkan+reduced", true, true, false},
-		{"elkan-direct", true, false, false},
-		{"hamerly+reduced", true, true, true},
-		{"hamerly-direct", true, false, true},
+		{"exhaustive", false, false},
+		{"elkan-direct", true, false},
+		{"hamerly-direct", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewAssigner(mom, k, tc.enabled)
-			a.SetReduced(tc.reduced)
 			if tc.hamerly {
 				a.full = false
 			}

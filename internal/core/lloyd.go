@@ -7,25 +7,27 @@ import (
 	"ucpc/internal/clustering"
 	"ucpc/internal/rng"
 	"ucpc/internal/uncertain"
+	"ucpc/internal/vec"
 )
 
 // UCPCLloyd is a batch (Lloyd-style) variant of UCPC: instead of relocating
 // one object at a time (Algorithm 1), it alternates a full assignment step
 // — every object moves to the cluster whose *current* U-centroid minimizes
 // ÊD(o, C̄) — with a centroid refresh. It serves as an ablation of the
-// paper's relocation design choice (see DESIGN.md): batch steps are
-// embarrassingly parallel but, unlike Algorithm 1, the objective is not
-// guaranteed to decrease monotonically because ÊD is measured against the
-// centroid of the *previous* assignment.
+// paper's relocation design choice (BenchmarkUCPCLloyd against
+// BenchmarkUCPCRelocation measures it): batch steps are embarrassingly
+// parallel but, unlike Algorithm 1, the objective is not guaranteed to
+// decrease monotonically because ÊD is measured against the centroid of
+// the *previous* assignment.
 //
-// The assignment step runs on the flat Moments store across a worker pool
-// through the exact pruning engine (Assigner): ÊD(o, C̄_c) decomposes as
-// ‖µ(o) − µ(C̄_c)‖² + σ²(o) + σ²(C̄_c), i.e. a Euclidean distance plus a
-// per-centroid additive term, so Hamerly-style bounds skip most candidate
-// centroids without changing any decision. Each worker scans a contiguous
-// row range, and because every object's decision is independent of the
-// others, the resulting partition is bit-identical for every worker count
-// (the engine's determinism contract) and for pruning on vs. off.
+// ÊD(o, C̄_c) decomposes as ‖µ(o) − µ(C̄_c)‖² + σ²(o) + σ²(C̄_c), i.e. a
+// Euclidean distance plus the per-centroid additive term v_c = σ²(C̄_c),
+// so UCPC-Lloyd runs the same Lloyd loop as UKMeans (the v_c = 0 case)
+// with its own incremental U-centroid refresh and empty-cluster reseeding.
+// The assignment step fans the exact pruning engine (Assigner) over a
+// worker pool; every object's decision is independent of the others, so
+// the partition is bit-identical for every worker count and for pruning
+// on vs. off.
 type UCPCLloyd struct {
 	// MaxIter caps the assignment/update rounds (0 = default 100).
 	MaxIter int
@@ -71,7 +73,6 @@ type centroidScores struct {
 	dirty    []bool    // k, scratch: clusters to rebuild this refresh
 	stale    []bool    // k, clusters reseed-adjusted since their last rebuild
 	reseeded []int     // scratch for the return value
-	moves    int       // objects that changed cluster since the last refresh
 	built    bool
 	// forceFull disables the dirty-cluster optimization so tests can prove
 	// the incremental path bit-identical to a full rebuild.
@@ -108,7 +109,6 @@ func newCentroidScores(k, m, n int) *centroidScores {
 func (cs *centroidScores) refresh(mom *uncertain.Moments, assign []int) (reseeded []int) {
 	n, m, k := mom.Len(), cs.m, cs.k
 	counts, sumMu, sumMu2, sumMuSq := cs.counts, cs.sumMu, cs.sumMu2, cs.sumMuSq
-	cs.moves = 0
 	for c := 0; c < k; c++ {
 		cs.dirty[c] = !cs.built || cs.stale[c] || cs.forceFull
 		cs.stale[c] = false
@@ -118,7 +118,6 @@ func (cs *centroidScores) refresh(mom *uncertain.Moments, assign []int) (reseede
 			if c := assign[i]; c != cs.prev[i] {
 				cs.dirty[c] = true
 				cs.dirty[cs.prev[i]] = true
-				cs.moves++
 			}
 		}
 	}
@@ -267,6 +266,94 @@ func UCentroidAssignState(mom *uncertain.Moments, assign []int, k int, centers, 
 	cs.addTerms(adds)
 }
 
+// lloydSteps is what one algorithm supplies to the shared Lloyd loop
+// (lloyd): every algorithm on it minimises ‖µ(o) − y_c‖² + v_c in its
+// assignment step (Lemma 3, Corollary 1) and differs only in how y_c and
+// v_c follow from a partition and in the objective it reports.
+type lloydSteps struct {
+	// refresh recomputes the centroids from assign and returns the objects
+	// it moved to reseed empty clusters.
+	refresh func(assign []int) (reseeded []int)
+	// install pushes the refreshed centroids y_c and additive terms v_c
+	// into the engine.
+	install func(eng *Assigner)
+	// objective returns the algorithm's objective for assign; the loop
+	// calls it after refresh.
+	objective func(assign []int) float64
+}
+
+// lloyd is the one Lloyd loop behind UKMeans and UCPCLloyd. start builds the
+// initial assignment (entries may be -1 when the first step scores against
+// seed centres) and the algorithm's steps over the dataset's moment store.
+// Each round runs the pruned assignment step, the centroid refresh,
+// invalidates reseeded objects' bounds, emits Progress, and stops once the
+// assignment step moved nothing; otherwise it installs the new centroids.
+func lloyd(ctx context.Context, ds uncertain.Dataset, k int, label, name string, cfg clustering.Config,
+	start func(mom *uncertain.Moments) (assign []int, steps lloydSteps)) (*clustering.Report, error) {
+	ctx = clustering.Ctx(ctx)
+	if err := ds.Validate(); err != nil {
+		return nil, err
+	}
+	if err := clustering.ValidateK(label, k, len(ds)); err != nil {
+		return nil, err
+	}
+	maxIter := cfg.MaxIter
+	if maxIter == 0 {
+		maxIter = 100
+	}
+	workers := clustering.Workers(cfg.Workers)
+	t0 := time.Now()
+
+	mom := uncertain.MomentsOf(ds)
+	assign, steps := start(mom)
+	eng := NewAssigner(mom, k, cfg.Pruning.Enabled())
+	steps.install(eng)
+	var prev []int // pre-round snapshot, kept only for Progress
+	if cfg.Progress != nil {
+		prev = make([]int, len(assign))
+	}
+	iterations, converged := 0, false
+	for iterations < maxIter {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		iterations++
+		copy(prev, assign)
+		changed := eng.Assign(assign, workers)
+		// Moves are counted before the refresh: reseeds are not moves.
+		moves := 0
+		for i, c := range prev {
+			if assign[i] != c {
+				moves++
+			}
+		}
+		for _, i := range steps.refresh(assign) {
+			// A reseed moved the object behind the engine's back; its
+			// bounds no longer describe its assigned centroid.
+			eng.Invalidate(i)
+		}
+		if prev != nil {
+			cfg.Progress.Emit(name, iterations, steps.objective(assign), moves)
+		}
+		if !changed {
+			converged = true
+			break
+		}
+		steps.install(eng)
+	}
+
+	pruned, scanned := eng.Counters()
+	return &clustering.Report{
+		Partition:         clustering.Partition{K: k, Assign: assign},
+		Objective:         steps.objective(assign),
+		Iterations:        iterations,
+		Converged:         converged,
+		Online:            time.Since(t0),
+		PrunedCandidates:  pruned,
+		ScannedCandidates: scanned,
+	}, nil
+}
+
 // Cluster runs the batch variant.
 func (u *UCPCLloyd) Cluster(ctx context.Context, ds uncertain.Dataset, k int, r *rng.RNG) (*clustering.Report, error) {
 	return u.cluster(ctx, ds, k, nil, r)
@@ -282,72 +369,113 @@ func (u *UCPCLloyd) ClusterFrom(ctx context.Context, ds uncertain.Dataset, k int
 }
 
 func (u *UCPCLloyd) cluster(ctx context.Context, ds uncertain.Dataset, k int, init []int, r *rng.RNG) (*clustering.Report, error) {
-	ctx = clustering.Ctx(ctx)
-	if err := ds.Validate(); err != nil {
+	cfg := clustering.Config{MaxIter: u.MaxIter, Workers: u.Workers, Pruning: u.Pruning, Progress: u.Progress}
+	return lloyd(ctx, ds, k, "ucpc-lloyd", u.Name(), cfg, func(mom *uncertain.Moments) ([]int, lloydSteps) {
+		var assign []int
+		if init != nil {
+			// WarmStarter contract: empty init clusters are repaired from
+			// r (the same rule as every other warm-startable method)
+			// rather than left to the refresh step's farthest-object
+			// reseed.
+			assign = clustering.RepairEmpty(append([]int(nil), init...), k, r)
+		} else {
+			assign = clustering.RandomPartition(mom.Len(), k, r)
+		}
+		cs := newCentroidScores(k, mom.Dims(), mom.Len())
+		cs.refresh(mom, assign)
+		adds := make([]float64, k)
+		return assign, lloydSteps{
+			// The refresh diffs the assignment against its previous
+			// snapshot, rebuilding only the clusters whose membership
+			// changed; it is a no-op on the final (converged) round.
+			refresh:   func(assign []int) []int { return cs.refresh(mom, assign) },
+			install:   func(eng *Assigner) { cs.install(eng, adds) },
+			objective: func([]int) float64 { return cs.objective() },
+		}
+	})
+}
+
+// UKMeans is the fast UK-means of Lee et al. [14]. Because ED(o, c) =
+// σ²(o) + ‖µ(o) − c‖² (eq. 8) and σ²(o) is constant across candidate
+// centroids, the online phase is Lloyd's K-means over the objects' expected
+// values — the v_c = 0 case of the Lloyd loop it shares with UCPCLloyd —
+// and the objective it minimizes is J_UK (paper eq. 9). The assignment
+// step is a pure Euclidean nearest-center query, the best case for the
+// Assigner's bounds; the partition for a given seed is identical for every
+// worker count and for pruning on vs. off.
+type UKMeans struct {
+	// MaxIter caps Lloyd iterations (0 = default 100).
+	MaxIter int
+	// Workers sizes the assignment worker pool; <= 0 means GOMAXPROCS.
+	Workers int
+	// Pruning toggles the exact bound-based assignment pruning (default
+	// on). Results are identical either way.
+	Pruning clustering.PruneMode
+	// Progress, when non-nil, observes every Lloyd round with the J_UK
+	// objective and the number of objects that changed cluster; both are
+	// computed only when the callback is set.
+	Progress clustering.ProgressFunc
+}
+
+// Name implements clustering.Algorithm.
+func (u *UKMeans) Name() string { return "UKM" }
+
+// Cluster runs the fast UK-means from k-means++ seeds.
+func (u *UKMeans) Cluster(ctx context.Context, ds uncertain.Dataset, k int, r *rng.RNG) (*clustering.Report, error) {
+	return u.cluster(ctx, ds, k, nil, r)
+}
+
+// ClusterFrom implements clustering.WarmStarter: the first assignment step
+// scores against the centroids (eq. 7) of the given partition instead of
+// k-means++ seeds.
+func (u *UKMeans) ClusterFrom(ctx context.Context, ds uncertain.Dataset, k int, init []int, r *rng.RNG) (*clustering.Report, error) {
+	if err := clustering.ValidateInit("ukmeans", init, len(ds), k); err != nil {
 		return nil, err
 	}
-	n := len(ds)
-	if err := clustering.ValidateK("ucpc-lloyd", k, n); err != nil {
-		return nil, err
-	}
-	maxIter := u.MaxIter
-	if maxIter == 0 {
-		maxIter = 100
-	}
-	workers := clustering.Workers(u.Workers)
-	start := time.Now()
+	return u.cluster(ctx, ds, k, init, r)
+}
 
-	mom := uncertain.MomentsOf(ds)
-	m := mom.Dims()
-	var assign []int
-	if init != nil {
-		// WarmStarter contract: empty init clusters are repaired from r
-		// (the same rule as every other warm-startable method) rather
-		// than left to the refresh step's farthest-object reseed.
-		assign = clustering.RepairEmpty(append([]int(nil), init...), k, r)
-	} else {
-		assign = clustering.RandomPartition(n, k, r)
-	}
-	cs := newCentroidScores(k, m, n)
-	cs.refresh(mom, assign)
-
-	eng := NewAssigner(mom, k, u.Pruning.Enabled())
-	adds := make([]float64, k)
-	cs.install(eng, adds)
-
-	iterations, converged := 0, false
-	for iterations < maxIter {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+func (u *UKMeans) cluster(ctx context.Context, ds uncertain.Dataset, k int, init []int, r *rng.RNG) (*clustering.Report, error) {
+	cfg := clustering.Config{MaxIter: u.MaxIter, Workers: u.Workers, Pruning: u.Pruning, Progress: u.Progress}
+	return lloyd(ctx, ds, k, "ukmeans", u.Name(), cfg, func(mom *uncertain.Moments) ([]int, lloydSteps) {
+		// install swaps next into centers, so the objective scores
+		// against the centroids the last assignment step used.
+		centers, next := make([]vec.Vector, k), make([]vec.Vector, k)
+		for c := range next {
+			centers[c], next[c] = vec.New(mom.Dims()), vec.New(mom.Dims())
 		}
-		iterations++
-		changed := eng.Assign(assign, workers)
-		// The refresh diffs the assignment against its previous snapshot,
-		// rebuilding only the clusters whose membership changed; it is a
-		// no-op on the final (converged) round.
-		for _, i := range cs.refresh(mom, assign) {
-			// A reseed moved the object behind the engine's back; its
-			// bounds no longer describe its assigned centroid.
-			eng.Invalidate(i)
+		var assign []int
+		if init != nil {
+			// Warm start: repair empty clusters first (the WarmStarter
+			// contract), then score against the repaired partition's
+			// centroids.
+			assign = clustering.RepairEmpty(append([]int(nil), init...), k, r)
+			clustering.MeansOfMoments(mom, assign, next)
+		} else {
+			for c, i := range clustering.KMeansPPCenters(ds, k, r) {
+				copy(next[c], ds[i].Mean())
+			}
+			assign = make([]int, mom.Len())
+			for i := range assign {
+				assign[i] = -1
+			}
 		}
-		if u.Progress != nil {
-			u.Progress.Emit(u.Name(), iterations, cs.objective(), cs.moves)
+		return assign, lloydSteps{
+			refresh: func(assign []int) []int {
+				clustering.MeansOfMoments(mom, assign, next) // eq. 7
+				return nil
+			},
+			install: func(eng *Assigner) {
+				centers, next = next, centers
+				eng.SetCenterVecs(centers, nil)
+			},
+			objective: func(assign []int) float64 {
+				var j float64
+				for i, c := range assign {
+					j += mom.ED(i, centers[c])
+				}
+				return j
+			},
 		}
-		if !changed {
-			converged = true
-			break
-		}
-		cs.install(eng, adds)
-	}
-
-	pruned, scanned := eng.Counters()
-	return &clustering.Report{
-		Partition:         clustering.Partition{K: k, Assign: assign},
-		Objective:         cs.objective(),
-		Iterations:        iterations,
-		Converged:         converged,
-		Online:            time.Since(start),
-		PrunedCandidates:  pruned,
-		ScannedCandidates: scanned,
-	}, nil
+	})
 }

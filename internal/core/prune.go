@@ -43,18 +43,9 @@ import (
 //     Both regimes bootstrap from a per-block bounding-box (vec.Box)
 //     min/max filter on the first pass, when no bounds exist yet.
 //
-//   - On top of the bounds, candidates that still need O(m) work are first
-//     scored through the reduced (CK-means) form of the distance,
-//     ‖µ(o)‖² − 2·µ(o)·y_c + ‖y_c‖², using the moment store's precomputed
-//     ‖µ‖² row norms and the per-iteration ‖y_c‖² Gram diagonal (the
-//     König–Huygens decomposition: the per-object spread constant is the
-//     same for every centroid, so it cannot change the argmin). The
-//     reduced value equals the direct kernel distance up to a rounding
-//     margin proportional to the moment scale; candidates that lose by
-//     more than that margin are discarded — and still refresh their Elkan
-//     bound — without ever running the subtract-square scan. Decisions are
-//     only ever made from the direct vec.SqDistBlock value, so the reduced
-//     filter can disable a skip but never flip a comparison.
+//   - Every candidate the bounds fail to skip is scored by the direct
+//     subtract-square kernel vec.SqDistBlock, the one distance routine on
+//     every decision path.
 //
 // Every skip test subtracts a relative slack (pruneSlack) so that the few-
 // ulp rounding of the bound arithmetic can never flip a comparison that the
@@ -64,7 +55,7 @@ import (
 //
 // Counter conservation: every (object, centroid) pair of every pass is
 // counted exactly once, as either pruned (decided without an O(m) row scan)
-// or scanned (an O(m) row evaluation ran, direct or reduced), so
+// or scanned (an O(m) row evaluation ran), so
 // pruned + scanned == n·k·passes on every code path. Block-level box skips
 // and whole-object bound skips credit every pair they cover.
 
@@ -113,7 +104,6 @@ type Assigner struct {
 	maxDrift float64
 	half     []float64 // k, half distance to the nearest other centroid
 	cdist    []float64 // k*k, inter-centroid Euclidean distances
-	cNorm2   []float64 // k, ‖y_c‖² Gram diagonal for the reduced form
 
 	addMin, addMin2 float64 // smallest and second-smallest v_c
 	addMinIdx       int
@@ -130,7 +120,6 @@ type Assigner struct {
 	full     bool // per-pair bound table in use (n*k within elkanPairsMax)
 	lb       []float64
 	driftTot []float64
-	reduced  bool // score survivors through the König–Huygens form first
 
 	boxes        []vec.Box // per-block bounding boxes over the µ rows
 	boxLo, boxHi []float64 // flat nb*m backing for the box corners, reused
@@ -181,7 +170,6 @@ func NewAssigner(mom *uncertain.Moments, k int, enabled bool) *Assigner {
 		a.drift = make([]float64, k)
 		a.half = make([]float64, k)
 		a.cdist = make([]float64, k*k)
-		a.cNorm2 = make([]float64, k)
 		a.driftTot = make([]float64, k)
 		a.upper = make([]float64, n)
 		a.lower = make([]float64, n)
@@ -189,7 +177,6 @@ func NewAssigner(mom *uncertain.Moments, k int, enabled bool) *Assigner {
 		if a.full {
 			a.lb = make([]float64, n*k)
 		}
-		a.reduced = reducedDefault
 		a.rebuildBoxes()
 	}
 	// Bind the chunk bodies once; each bind allocates a method value here
@@ -333,7 +320,7 @@ func (a *Assigner) setCenters(fill func(dst []float64), add []float64) {
 	// Per-centroid drift since the previous positions (upper bounds grow by
 	// the own centroid's drift, per-pair lower bounds shrink by that
 	// centroid's cumulative drift, the shared fallback lower bound by the
-	// largest drift). cNorm2 feeds the reduced-form scoring.
+	// largest drift).
 	a.maxDrift = 0
 	for c := 0; c < a.k; c++ {
 		d := 0.0
@@ -345,7 +332,6 @@ func (a *Assigner) setCenters(fill func(dst []float64), add []float64) {
 			a.maxDrift = d
 		}
 		a.driftTot[c] += d
-		a.cNorm2[c] = vec.SqNormBlock(a.centers[c*a.m : (c+1)*a.m])
 	}
 	a.hasPrev = true
 	// Inter-centroid distances and half-gaps (O(k²m); k ≪ n).
@@ -419,28 +405,6 @@ func (a *Assigner) Counters() (pruned, scanned int64) {
 // last Rebind), for counter-conservation checks: pruned + scanned always
 // equals n·k·Passes().
 func (a *Assigner) Passes() int { return a.passes }
-
-// reducedDefault is the package-wide default for the König–Huygens
-// reduced-form pre-filter of newly built Assigners. It exists so the
-// exactness suite can run entire algorithms — which construct their
-// Assigners internally — with the filter disabled and prove the filter is
-// decision-neutral.
-var reducedDefault = true
-
-// SetReducedDefault sets whether new Assigners start with the reduced-form
-// pre-filter active and returns the previous default. Not safe to flip
-// concurrently with running algorithms; intended for tests and ablation
-// harnesses.
-func SetReducedDefault(on bool) (prev bool) {
-	prev = reducedDefault
-	reducedDefault = on
-	return prev
-}
-
-// SetReduced toggles the König–Huygens reduced-form pre-filter (on by
-// default when pruning is enabled); the exactness tests flip it to prove
-// reduced-on and reduced-off runs are byte-identical.
-func (a *Assigner) SetReduced(on bool) { a.reduced = on && a.enabled }
 
 // Assign reassigns every object to its nearest centroid under the current
 // SetCenters state, fanning over the worker pool, and reports whether any
@@ -518,13 +482,9 @@ func (a *Assigner) exhaustChunk(lo, hi int) bool {
 // firstChunk initializes the per-object bounds with a per-block bounding-
 // box filter: centroids whose minimum possible D over the whole block
 // exceeds the block's best guaranteed D cannot win for any member and are
-// skipped (their pairs are counted as pruned for every member). Surviving
-// candidates are scored through the reduced form first when it applies;
-// candidates that clearly lose keep the reduced-form value as their
-// Euclidean lower bound instead of an exact distance — sufficient for
-// bound seeding, and never consulted for the argmin. In Elkan mode the
-// full lb row of every object is seeded here: box-pruned centroids get the
-// block's box bound, survivors their per-object value. Its per-chunk
+// skipped (their pairs are counted as pruned for every member). In Elkan
+// mode the full lb row of every object is seeded here: box-pruned centroids
+// get the block's box bound, survivors their exact distance. Its per-chunk
 // scratch (needed for worker independence) comes from the preallocated
 // pool: ParallelAny runs at most Workers(workers) chunk bodies per pass,
 // so claiming slots through an atomic counter hands every body a distinct
@@ -572,26 +532,10 @@ func (a *Assigner) firstChunk(blo, bhi int) bool {
 		scanned += int64(hi-lo) * int64(len(cand))
 		for i := lo; i < hi; i++ {
 			mu := a.mom.Mu(i)
-			mun2 := a.mom.MuNorm2(i)
 			bestCi := 0
 			bestD := math.Inf(1)
 			for ci, c := range cand {
-				row := a.centers[c*m : (c+1)*m]
-				if a.reduced && !math.IsInf(bestD, 1) {
-					// Reduced-form pre-filter; see elkanChunk for the
-					// soundness margin.
-					dred := mun2 - 2*vec.DotBlock(mu, row) + a.cNorm2[c]
-					margin := pruneSlack * (mun2 + a.cNorm2[c] + math.Abs(bestD) + 1)
-					if dred+a.add[c]-margin >= bestD {
-						if r2 := dred - margin; r2 > 0 {
-							candR[ci] = math.Sqrt(r2)
-						} else {
-							candR[ci] = 0
-						}
-						continue
-					}
-				}
-				r2 := vec.SqDistBlock(mu, row)
+				r2 := vec.SqDistBlock(mu, a.centers[c*m:(c+1)*m])
 				candR[ci] = math.Sqrt(r2)
 				if d := r2 + a.add[c]; d < bestD {
 					bestCi, bestD = ci, d
@@ -628,10 +572,9 @@ func (a *Assigner) firstChunk(blo, bhi int) bool {
 // elkanChunk is the steady-state full-bound pass: per-object upper bound,
 // per-(object, centroid) lower bounds decayed by each centroid's own
 // cumulative drift, the Hamerly global half-gap test for whole-object
-// skips, the moving inter-centroid filter, and the reduced-form pre-filter
-// on whatever survives. Every exact or reduced evaluation refreshes the
-// corresponding lb entry, so bounds tighten as a side effect of the scans
-// the bounds failed to prevent.
+// skips, and the moving inter-centroid filter. Every exact evaluation
+// refreshes the corresponding lb entry, so bounds tighten as a side effect
+// of the scans the bounds failed to prevent.
 func (a *Assigner) elkanChunk(lo, hi int) bool {
 	assign := a.curAssign
 	k, m := a.k, a.m
@@ -685,7 +628,6 @@ func (a *Assigner) elkanChunk(lo, hi int) bool {
 		// Each candidate's lower bound is the better of its decayed lb
 		// entry and the moving inter-centroid bound cdist(best, c) − r_best.
 		best, bestD, bestR := cur, u*u+va, u
-		mun2 := a.mom.MuNorm2(i)
 		minOther := math.Inf(1)
 		for c := 0; c < k; c++ {
 			if c == cur {
@@ -704,32 +646,8 @@ func (a *Assigner) elkanChunk(lo, hi int) bool {
 					continue
 				}
 			}
-			row := a.centers[c*m : (c+1)*m]
 			scanned++
-			if a.reduced {
-				// Reduced (König–Huygens) form as a pre-filter. The margin
-				// dominates the ‖µ‖²−2µ·y+‖y‖² cancellation error (a few
-				// hundred ulps of the moment scale for any realistic m), so
-				// a candidate it discards can never beat bestD under the
-				// direct kernel — and dred − margin under-estimates r², so
-				// its root is a sound Elkan bound refresh.
-				dred := mun2 - 2*vec.DotBlock(mu, row) + a.cNorm2[c]
-				margin := pruneSlack * (mun2 + a.cNorm2[c] + math.Abs(bestD) + 1)
-				if dred+a.add[c]-margin >= bestD {
-					lbr := 0.0
-					if r2 := dred - margin; r2 > 0 {
-						lbr = math.Sqrt(r2)
-					}
-					if lbr+a.driftTot[c] > a.lb[base+c] {
-						a.lb[base+c] = lbr + a.driftTot[c]
-					}
-					if lbr < minOther {
-						minOther = lbr
-					}
-					continue
-				}
-			}
-			r2 := vec.SqDistBlock(mu, row)
+			r2 := vec.SqDistBlock(mu, a.centers[c*m:(c+1)*m])
 			r := math.Sqrt(r2)
 			a.lb[base+c] = r + a.driftTot[c]
 			if d := r2 + a.add[c]; d < bestD {

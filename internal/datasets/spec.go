@@ -4,7 +4,7 @@
 // Neuroblastoma/Leukaemia collections (Table 1(b)), a KDD-Cup-'99-like
 // stream for the scalability study, and CSV I/O.
 //
-// Substitution note (see DESIGN.md): the module is offline, so the UCI and
+// Substitution note: the module is offline, so the UCI and
 // Broad-Institute files are unavailable; each generator reproduces the
 // published object count, dimensionality, class count, and the qualitative
 // difficulty knobs (class overlap and imbalance) that drive the relative

@@ -2,7 +2,7 @@
 // ref. [12]): density-based clustering of uncertain objects using fuzzy
 // distance probabilities.
 //
-// Substitution note (see DESIGN.md): the published algorithm computes
+// Substitution note: the published algorithm computes
 // distance probabilities P(d(o,o′) ≤ ε) from the object pdfs; here they are
 // estimated from per-object sample clouds (the same Monte Carlo machinery
 // the basic UK-means uses), which preserves both the clustering semantics

@@ -3,7 +3,7 @@
 // objects, plus a threshold-based extraction step that turns the ordering
 // into a flat partition.
 //
-// Substitution note (see DESIGN.md): fuzzy distances between uncertain
+// Substitution note: fuzzy distances between uncertain
 // objects are estimated as the mean Euclidean distance over paired samples
 // of the two objects' clouds, replacing the original paper's closed-form
 // lens computations while preserving the algorithm's structure and its

@@ -155,9 +155,10 @@ type tenantInfo struct {
 }
 
 func (t *tenant) info() tenantInfo {
+	sm := t.serving.Load()
 	info := tenantInfo{
 		ID: t.id, Algorithm: t.alg, K: t.k, Shards: t.shards,
-		ModelVersion: t.version.Load(),
+		ModelVersion: sm.version,
 		Swaps:        t.swaps.Load(),
 		Ingested:     t.ingested.Load(),
 		Queued:       t.queued.Load(),
@@ -176,7 +177,7 @@ func (t *tenant) info() tenantInfo {
 	fit := t.snapshotFit()
 	info.StreamSeen = fit.Seen()
 	info.StreamBatches = fit.Batches()
-	if m := t.model.Load(); m != nil {
+	if m := sm.model; m != nil {
 		info.HasModel = true
 		info.ModelK = m.K()
 		rep := m.Report()
@@ -405,7 +406,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	cur := t.model.Load()
+	cur := t.serving.Load().model
 	if cur == nil {
 		writeErr(w, fmt.Errorf("serve: tenant %q: %w", t.id, errNoModel))
 		return
@@ -490,7 +491,8 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.adm.exit(routeAssign, len(ds))
-	model := t.model.Load()
+	sm := t.serving.Load()
+	model := sm.model
 	if model == nil {
 		writeErr(w, fmt.Errorf("serve: tenant %q: %w", t.id, errNoModel))
 		return
@@ -512,7 +514,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	s.metrics.assignObjects.Add(int64(len(ds)))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"assign":        assign,
-		"model_version": t.version.Load(),
+		"model_version": sm.version,
 		"k":             model.K(),
 	})
 }
@@ -542,13 +544,14 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	model := t.model.Load()
+	sm := t.serving.Load()
+	model := sm.model
 	if model == nil {
 		writeErr(w, fmt.Errorf("serve: tenant %q: %w", t.id, errNoModel))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Model-Version", fmt.Sprint(t.version.Load()))
+	w.Header().Set("X-Model-Version", fmt.Sprint(sm.version))
 	if err := ucpc.SaveModel(w, model); err != nil {
 		s.logger.Error("model download failed mid-write", "tenant", t.id, "error", err)
 	}

@@ -62,7 +62,8 @@ func (s *Server) persistTenant(t *tenant) error {
 	defer t.persistMu.Unlock()
 	fit := t.snapshotFit()
 	seen := t.ingested.Load()
-	version := t.version.Load()
+	sm := t.serving.Load()
+	version := sm.version
 	if t.lastSaveNano.Load() != 0 &&
 		seen == t.persistedSeen.Load() && version == t.persistedVersion.Load() {
 		return nil
@@ -78,7 +79,7 @@ func (s *Server) persistTenant(t *tenant) error {
 		Seen:          seen,
 		SavedUnixNano: time.Now().UnixNano(),
 	}
-	if m := t.model.Load(); m != nil {
+	if m := sm.model; m != nil {
 		if snap.Model, err = m.MarshalBinary(); err != nil {
 			return fmt.Errorf("serve: encode tenant %q model: %w", t.id, err)
 		}
@@ -182,10 +183,7 @@ func (s *Server) restoreTenant(snap *persist.TenantSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("serve: tenant %q snapshot spec rejected: %v: %w", snap.ID, err, ErrCorruptSnapshot)
 	}
-	if model != nil {
-		t.model.Store(model)
-	}
-	t.version.Store(snap.ModelVersion)
+	t.serving.Store(&servingModel{model: model, version: snap.ModelVersion})
 	if spec.Shards == 0 {
 		warm := checkpoint
 		if warm == nil {

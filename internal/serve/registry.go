@@ -100,10 +100,11 @@ type tenant struct {
 	// into the snapshot manifest and restore can rebuild the tenant from it.
 	spec TenantSpec
 
-	// model is the serving model; nil until the first snapshot/fit/upload.
-	// version counts installs, swaps mirrors it for the metrics surface.
-	model   atomic.Pointer[ucpc.Model]
-	version atomic.Int64
+	// serving is the serving model and its version, swapped as one pair
+	// so a reader never pairs a model with another model's version. It is
+	// never nil; its model is nil until the first snapshot/fit/upload.
+	// swaps counts installs for the metrics surface.
+	serving atomic.Pointer[servingModel]
 	swaps   atomic.Int64
 
 	// mu guards fit (the pointer — the engines themselves are
@@ -219,21 +220,36 @@ func newTenant(spec TenantSpec, queueChunks int, m *metrics, admDefaults admissi
 		done:     make(chan struct{}),
 		stopPush: make(chan struct{}),
 	}
+	t.serving.Store(&servingModel{})
 	go t.ingest(m)
 	return t, nil
 }
 
-// install atomically publishes m as the tenant's serving model — the hot
-// swap. In-flight Assign calls keep using the model they loaded; new calls
-// see the new one. Never blocks.
+// servingModel is a serving model with the install count that published
+// it. Requests load the pair once, so the version they report always names
+// the model that answered them.
+type servingModel struct {
+	model   *ucpc.Model
+	version int64
+}
+
+// install atomically publishes m as the tenant's serving model under the
+// next version — the hot swap — and returns that version. In-flight Assign
+// calls keep using the pair they loaded; new calls see the new one. Never
+// blocks: concurrent installs retry the compare-and-swap.
 func (t *tenant) install(m *ucpc.Model, mx *metrics) int64 {
-	t.model.Store(m)
-	t.swaps.Add(1)
-	mx.swaps.Add(1)
-	// Re-weight the assign cost model from the new model's pruning counters
-	// before any request against it is measured.
-	t.adm.onInstall(m.Report(), t.k)
-	return t.version.Add(1)
+	for {
+		cur := t.serving.Load()
+		next := &servingModel{model: m, version: cur.version + 1}
+		if t.serving.CompareAndSwap(cur, next) {
+			t.swaps.Add(1)
+			mx.swaps.Add(1)
+			// Re-weight the assign cost model from the new model's
+			// pruning counters before any request against it is measured.
+			t.adm.onInstall(m.Report(), t.k)
+			return next.version
+		}
+	}
 }
 
 // enqueue hands one observe payload to the ingester without blocking:

@@ -422,7 +422,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		return fmt.Sprint(t.swaps.Load()), true
 	})
 	writeSeries("ucpcd_tenant_model_version", "gauge", func(t *tenant) (string, bool) {
-		return fmt.Sprint(t.version.Load()), true
+		return fmt.Sprint(t.serving.Load().version), true
 	})
 	writeSeries("ucpcd_tenant_stream_seen_objects", "gauge", func(t *tenant) (string, bool) {
 		return fmt.Sprint(t.snapshotFit().Seen()), true
@@ -450,28 +450,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		})
 	}
 	writeSeries("ucpcd_tenant_model_iterations", "gauge", func(t *tenant) (string, bool) {
-		m := t.model.Load()
+		m := t.serving.Load().model
 		if m == nil {
 			return "", false
 		}
 		return fmt.Sprint(m.Report().Iterations), true
 	})
 	writeSeries("ucpcd_tenant_model_objective", "gauge", func(t *tenant) (string, bool) {
-		m := t.model.Load()
+		m := t.serving.Load().model
 		if m == nil {
 			return "", false
 		}
 		return formatFloat(m.Report().Objective), true
 	})
 	writeSeries("ucpcd_tenant_model_pruned_candidates_total", "counter", func(t *tenant) (string, bool) {
-		m := t.model.Load()
+		m := t.serving.Load().model
 		if m == nil {
 			return "", false
 		}
 		return fmt.Sprint(m.Report().PrunedCandidates), true
 	})
 	writeSeries("ucpcd_tenant_model_scanned_candidates_total", "counter", func(t *tenant) (string, bool) {
-		m := t.model.Load()
+		m := t.serving.Load().model
 		if m == nil {
 			return "", false
 		}

@@ -6,11 +6,14 @@ package serve
 // keep.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -337,5 +340,171 @@ func TestLimitsPutDuringSwapAndAssign(t *testing.T) {
 		if rl.AttemptsTotal != rl.AdmittedTotal+rl.Shed429Total+rl.Shed413Total {
 			t.Fatalf("admission conservation violated after churn: %+v", rl)
 		}
+	}
+}
+
+// TestAssignVersionNamesItsModel hot-swaps two models that label the same
+// two blobs oppositely while assigns and model downloads run concurrently.
+// Model A is installed under every odd version and model B under every
+// even one, so each assign reply's model_version must name the model whose
+// labels it returned, and each GET /model payload must be the model its
+// X-Model-Version header names.
+func TestAssignVersionNamesItsModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	api := ts.URL + "/v1/tenants/"
+	probe := pointsBody(256, 77) // even points on blob 0, odd on blob 1
+	blob0Label := func(id string) int {
+		var out struct {
+			Assign []int `json:"assign"`
+		}
+		do(t, "POST", api+id+"/assign", probe, 200, &out)
+		return out.Assign[0]
+	}
+	download := func(id string) (payload []byte, version string) {
+		resp, err := http.Get(api + id + "/model")
+		if err != nil {
+			t.Error(err)
+			return nil, ""
+		}
+		defer resp.Body.Close()
+		payload, _ = io.ReadAll(resp.Body)
+		if resp.StatusCode != 200 {
+			t.Errorf("GET %s/model: status %d", id, resp.StatusCode)
+		}
+		return payload, resp.Header.Get("X-Model-Version")
+	}
+	upload := func(id string, payload []byte) {
+		req, _ := http.NewRequest("PUT", api+id+"/model", bytes.NewReader(payload))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("PUT %s/model: status %d", id, resp.StatusCode)
+		}
+	}
+
+	// Fit A, then fit with further seeds until one labels the blobs the
+	// other way round.
+	fit := func(id string, seed int) {
+		do(t, "POST", ts.URL+"/v1/tenants", fmt.Sprintf(`{"id":%q,"k":2,"seed":%d}`, id, seed), 201, nil)
+		do(t, "POST", api+id+"/fit", pointsBody(80, 6), 200, nil)
+	}
+	fit("a", 1)
+	labelA := blob0Label("a")
+	srcB := ""
+	for seed := 2; seed < 40 && srcB == ""; seed++ {
+		id := fmt.Sprintf("b%d", seed)
+		fit(id, seed)
+		if blob0Label(id) != labelA {
+			srcB = id
+		}
+	}
+	if srcB == "" {
+		t.Fatal("no seed labels the blobs opposite to model A")
+	}
+	srcA, _ := download("a")
+	srcBPayload, _ := download(srcB)
+
+	// The serving tenant's payloads as it re-encodes them: index 1 is A
+	// (odd versions), index 0 is B (even versions).
+	var want [2][]byte
+	do(t, "POST", ts.URL+"/v1/tenants", `{"id":"hot","k":2,"seed":1}`, 201, nil)
+	upload("hot", srcA)
+	want[1], _ = download("hot")
+	upload("hot", srcBPayload)
+	want[0], _ = download("hot")
+	wantLabel := func(version int64) int {
+		if version%2 == 1 {
+			return labelA
+		}
+		return 1 - labelA
+	}
+
+	stop := make(chan struct{})
+	var served, downloads, torn atomic.Int64
+	var firstTear atomic.Pointer[string]
+	tear := func(format string, args ...any) {
+		torn.Add(1)
+		msg := fmt.Sprintf(format, args...)
+		firstTear.CompareAndSwap(nil, &msg)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(api+"hot/assign", "application/json", strings.NewReader(probe))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out struct {
+					Assign  []int `json:"assign"`
+					Version int64 `json:"model_version"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 {
+					t.Errorf("assign: status %d, decode error %v", resp.StatusCode, err)
+					return
+				}
+				served.Add(1)
+				l := wantLabel(out.Version)
+				for i, c := range out.Assign {
+					if c != l^(i%2) {
+						tear("assign reply names version %d but object %d got cluster %d", out.Version, i, c)
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			payload, header := download("hot")
+			v, err := strconv.ParseInt(header, 10, 64)
+			if err != nil {
+				t.Errorf("X-Model-Version %q: %v", header, err)
+				return
+			}
+			downloads.Add(1)
+			if !bytes.Equal(payload, want[v%2]) {
+				tear("GET /model payload is not the model X-Model-Version %d names", v)
+			}
+		}
+	}()
+
+	for i := 0; i < 150; i++ {
+		if i%2 == 0 {
+			upload("hot", srcA)
+		} else {
+			upload("hot", srcBPayload)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d of %d replies were torn across a swap; first: %s", n, served.Load()+downloads.Load(), *firstTear.Load())
+	}
+	if served.Load() == 0 || downloads.Load() == 0 {
+		t.Fatalf("served %d assigns and %d downloads during the swaps", served.Load(), downloads.Load())
 	}
 }

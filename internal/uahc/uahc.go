@@ -2,7 +2,7 @@
 // algorithm for uncertain objects in the role of U-AHC (Gullo et al., ICDM
 // 2008; paper ref. [9]).
 //
-// Substitution note (see DESIGN.md): the original U-AHC merges clusters via
+// Substitution note: the original U-AHC merges clusters via
 // an information-theoretic similarity between uncertain cluster prototypes.
 // Here the default linkage represents each cluster by its mixture-model
 // prototype and merges the pair whose merge least increases the

@@ -14,9 +14,6 @@
 package ukmeans
 
 import (
-	"context"
-	"time"
-
 	"ucpc/internal/clustering"
 	"ucpc/internal/core"
 	"ucpc/internal/rng"
@@ -24,136 +21,10 @@ import (
 	"ucpc/internal/vec"
 )
 
-// UKMeans is the fast UK-means of Lee et al. [14]. Because the expensive
-// term ED(o, µ(o)) = σ²(o) is constant across candidate centroids, the
-// online phase degenerates to Lloyd's K-means over the objects' expected
-// values; the objective it minimizes is J_UK (paper eq. 9).
-//
-// The assignment step reads the flat Moments store and fans out over a
-// worker pool through the exact pruning engine (core.Assigner): since
-// ED(o,c) = σ²(o) + ‖µ(o) − c‖² and σ²(o) is constant across centroids,
-// the argmin is a pure Euclidean nearest-center query, the best case for
-// Hamerly-style bounds. Each object's decision is independent, so the
-// partition for a given seed is identical for every worker count and for
-// pruning on vs. off.
-type UKMeans struct {
-	// MaxIter caps Lloyd iterations (0 = default 100).
-	MaxIter int
-	// Workers sizes the assignment worker pool; <= 0 means GOMAXPROCS.
-	Workers int
-	// Pruning toggles the exact bound-based assignment pruning (default
-	// on). Results are identical either way.
-	Pruning clustering.PruneMode
-	// Progress, when non-nil, observes every Lloyd round with the J_UK
-	// objective and the number of objects that changed cluster; both are
-	// computed only when the callback is set.
-	Progress clustering.ProgressFunc
-}
-
-// Name implements clustering.Algorithm.
-func (u *UKMeans) Name() string { return "UKM" }
-
-// Cluster runs the fast UK-means.
-func (u *UKMeans) Cluster(ctx context.Context, ds uncertain.Dataset, k int, r *rng.RNG) (*clustering.Report, error) {
-	return u.cluster(ctx, ds, k, nil, r)
-}
-
-// ClusterFrom implements clustering.WarmStarter: the first assignment step
-// scores against the centroids (eq. 7) of the given partition instead of
-// k-means++ seeds.
-func (u *UKMeans) ClusterFrom(ctx context.Context, ds uncertain.Dataset, k int, init []int, r *rng.RNG) (*clustering.Report, error) {
-	if err := clustering.ValidateInit("ukmeans", init, len(ds), k); err != nil {
-		return nil, err
-	}
-	return u.cluster(ctx, ds, k, init, r)
-}
-
-func (u *UKMeans) cluster(ctx context.Context, ds uncertain.Dataset, k int, init []int, r *rng.RNG) (*clustering.Report, error) {
-	ctx = clustering.Ctx(ctx)
-	if err := validate(ds, k); err != nil {
-		return nil, err
-	}
-	maxIter := u.MaxIter
-	if maxIter == 0 {
-		maxIter = 100
-	}
-	workers := clustering.Workers(u.Workers)
-	start := time.Now()
-
-	n := len(ds)
-	mom := uncertain.MomentsOf(ds)
-	var centers []vec.Vector
-	assign := make([]int, n)
-	if init != nil {
-		// Warm start: repair empty clusters first (the WarmStarter
-		// contract — every cluster starts with at least one member), then
-		// score against the centroids of the repaired partition.
-		warm := clustering.RepairEmpty(append([]int(nil), init...), k, r)
-		centers = make([]vec.Vector, k)
-		for c := range centers {
-			centers[c] = vec.New(mom.Dims())
-		}
-		clustering.MeansOfMoments(mom, warm, centers)
-		copy(assign, warm)
-	} else {
-		centers = initialCenters(ds, k, r)
-		for i := range assign {
-			assign[i] = -1
-		}
-	}
-	eng := core.NewAssigner(mom, k, u.Pruning.Enabled())
-	var prev []int // pre-round snapshot, kept only for Progress
-	if u.Progress != nil {
-		prev = make([]int, n)
-	}
-	iterations, converged := 0, false
-	for iterations < maxIter {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		iterations++
-		// argmin_c ED(o, c) = argmin_c σ²(o)+‖µ(o)−c‖² (eq. 8): a pure
-		// nearest-center query (no additive terms), pruned exactly.
-		eng.SetCenterVecs(centers, nil)
-		if prev != nil {
-			copy(prev, assign)
-		}
-		changed := eng.Assign(assign, workers)
-		if prev != nil {
-			moves := 0
-			var obj float64
-			for i := range assign {
-				if assign[i] != prev[i] {
-					moves++
-				}
-				obj += mom.ED(i, centers[assign[i]])
-			}
-			u.Progress.Emit(u.Name(), iterations, obj, moves)
-		}
-		if !changed {
-			converged = true
-			break
-		}
-		// Centroid refresh (eq. 7) from the flat store, reusing the
-		// centers allocation.
-		clustering.MeansOfMoments(mom, assign, centers)
-	}
-
-	var objective float64
-	for i := 0; i < n; i++ {
-		objective += mom.ED(i, centers[assign[i]])
-	}
-	pruned, scanned := eng.Counters()
-	return &clustering.Report{
-		Partition:         clustering.Partition{K: k, Assign: assign},
-		Objective:         objective,
-		Iterations:        iterations,
-		Converged:         converged,
-		Online:            time.Since(start),
-		PrunedCandidates:  pruned,
-		ScannedCandidates: scanned,
-	}, nil
-}
+// UKMeans is the fast UK-means. It is defined in package core, where it
+// shares one Lloyd loop with UCPC-Lloyd: both minimise ‖µ(o) − y_c‖² + v_c,
+// UK-means with v_c = 0.
+type UKMeans = core.UKMeans
 
 // initialCenters seeds k centroid points from the expected values of
 // k-means++-selected objects.

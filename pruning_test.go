@@ -1,16 +1,11 @@
 package ucpc_test
 
 import (
-	"context"
 	"testing"
 
 	"ucpc"
-	"ucpc/internal/clustering"
-	"ucpc/internal/core"
 	"ucpc/internal/datasets"
-	"ucpc/internal/mmvar"
 	"ucpc/internal/rng"
-	"ucpc/internal/ukmeans"
 	"ucpc/internal/uncgen"
 )
 
@@ -30,7 +25,7 @@ func pruningDataset(name string, scale float64, seed uint64) ucpc.Dataset {
 // base object appears `copies` times verbatim, so candidate scores tie
 // bit-for-bit whichever order they are evaluated in. Degenerate ties are
 // the adversarial input for the pruning engines' sticky/lowest-index tie
-// rules: a bound or reduced-form filter that decided a tie differently
+// rules: a bound filter that decided a tie differently
 // from the exhaustive scan would diverge here immediately.
 func duplicateTieDataset(seed uint64, copies int) ucpc.Dataset {
 	base := pruningDataset("Iris", 0.4, seed)
@@ -100,66 +95,6 @@ func TestPruningExactness(t *testing.T) {
 			}
 			if prunedTotal == 0 {
 				t.Errorf("%s/%s: pruning never fired across %d seeds", tc.name, alg, len(seeds))
-			}
-		}
-	}
-}
-
-// TestReducedExactness proves the König–Huygens reduced-form pre-filter is
-// decision-neutral at whole-algorithm level: with pruning on, running each
-// algorithm with the reduced scoring enabled vs disabled (every surviving
-// candidate evaluated through the direct subtract-square kernel) yields
-// byte-identical partitions, iteration counts, and objectives. UKM and
-// UCPC-Lloyd exercise the filter in every assignment pass, UCPC (k-means++
-// init) in its seed-assignment pass; MMV has no nearest-centroid phase, so
-// it pins down that the toggle cannot leak into the relocation engine. The
-// duplicate-object dataset forces degenerate ties through both forms.
-func TestReducedExactness(t *testing.T) {
-	cases := []struct {
-		ds   ucpc.Dataset
-		name string
-		k    int
-	}{
-		{pruningDataset("Iris", 1, 3), "Iris", 3},
-		{duplicateTieDataset(7, 4), "DupTies", 5},
-	}
-	algorithms := []clustering.Algorithm{
-		&ukmeans.UKMeans{},
-		&core.UCPCLloyd{},
-		&core.UCPC{Init: core.InitKMeansPP},
-		&mmvar.MMVar{},
-	}
-	seeds := []uint64{1, 42, 977}
-
-	run := func(alg clustering.Algorithm, ds ucpc.Dataset, k int, seed uint64, reduced bool) *ucpc.Report {
-		prev := core.SetReducedDefault(reduced)
-		defer core.SetReducedDefault(prev)
-		rep, err := alg.Cluster(context.Background(), ds, k, rng.New(seed))
-		if err != nil {
-			t.Fatalf("%s seed %d reduced=%v: %v", alg.Name(), seed, reduced, err)
-		}
-		return rep
-	}
-
-	for _, tc := range cases {
-		for _, alg := range algorithms {
-			for _, seed := range seeds {
-				on := run(alg, tc.ds, tc.k, seed, true)
-				off := run(alg, tc.ds, tc.k, seed, false)
-				for i := range on.Partition.Assign {
-					if on.Partition.Assign[i] != off.Partition.Assign[i] {
-						t.Fatalf("%s/%s seed %d: partitions diverge at object %d (reduced %d, direct %d)",
-							tc.name, alg.Name(), seed, i, on.Partition.Assign[i], off.Partition.Assign[i])
-					}
-				}
-				if on.Iterations != off.Iterations {
-					t.Errorf("%s/%s seed %d: iterations %d (reduced) vs %d (direct)",
-						tc.name, alg.Name(), seed, on.Iterations, off.Iterations)
-				}
-				if on.Objective != off.Objective {
-					t.Errorf("%s/%s seed %d: objective %v (reduced) vs %v (direct)",
-						tc.name, alg.Name(), seed, on.Objective, off.Objective)
-				}
 			}
 		}
 	}
