@@ -330,21 +330,20 @@ func (m *Model) Centroids() []Centroid {
 	return cs
 }
 
-// AssignChunk is how many objects one Model.Assign batch hands to the
-// pruning engine between context checks. A multiple of the engine's 64-row
-// blocks, so chunked and unchunked scoring take identical bound decisions;
-// large enough that the per-chunk ctx check and engine setup are invisible
-// next to the O(chunk·k·m) scoring work. Exported so the ctx-overhead
-// benchmark gate (internal/experiments) measures exactly the shipped
-// checks-per-pass count.
+// AssignChunk is how many objects one Model.Assign batch scores between
+// context checks: large enough that the per-chunk ctx check and engine
+// setup are invisible next to the O(chunk·k·m) scoring work. Exported so
+// the ctx-overhead benchmark gate (internal/experiments) measures exactly
+// the shipped checks-per-pass count.
 const AssignChunk = 8192
 
 // Assign scores objs against the model's frozen prototypes and returns the
 // nearest cluster per object — the serving path: no refitting, no state
-// change, safe for concurrent callers. Scoring runs through the exact
-// bound-based pruning engine (the same machinery the training assignment
-// steps use) under the model's Workers/Pruning configuration, and checks
-// ctx between chunks of AssignChunk objects.
+// change, safe for concurrent callers. Each object is scored against every
+// prototype by the same distance kernel the training assignment steps use
+// (a one-shot assignment has no later pass that pruning bounds could pay
+// off in), fanned over the model's Workers, and ctx is checked between
+// chunks of AssignChunk objects.
 //
 // Objects must match the model's dimensionality (ErrDimMismatch otherwise);
 // an empty objs returns an empty, non-nil slice. For centroid-based models
@@ -381,7 +380,7 @@ func (m *Model) Assign(ctx context.Context, objs Dataset) ([]int, error) {
 			hi = len(objs)
 		}
 		mom := uncertain.MomentsOf(objs[lo:hi])
-		eng := core.NewAssigner(mom, m.k, m.cfg.Pruning.Enabled())
+		eng := core.NewAssigner(mom, m.k, false)
 		eng.SetCenters(m.means, m.adds)
 		chunk := out[lo:hi]
 		for i := range chunk {

@@ -96,17 +96,13 @@ type StreamConfig struct {
 	// every worker count. The zero-allocation steady-state guarantee of
 	// Observe holds for Workers = 1 (the pool spawn itself allocates).
 	Workers int
-	// Pruning toggles the exact bound-based first-pass pruning of the
-	// per-batch assignment scans (default on; results identical either
-	// way).
-	Pruning PruneMode
 	// Seed drives the k-means++ seeding of the initial centroids
 	// (0 = DefaultSeed).
 	Seed uint64
 }
 
 // Validate checks the streaming configuration: a negative BatchSize,
-// MaxBatches, or Workers, an unknown Pruning mode, or a Decay outside
+// MaxBatches, or Workers, or a Decay outside
 // [0, 1) returns a wrapped ErrBadConfig naming the field. Zero values are
 // always valid (they mean "default").
 func (c StreamConfig) Validate() error {
@@ -121,9 +117,6 @@ func (c StreamConfig) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("clustering: negative Workers %d: %w", c.Workers, ErrBadConfig)
-	}
-	if c.Pruning < PruneAuto || c.Pruning > PruneOff {
-		return fmt.Errorf("clustering: unknown Pruning mode %d: %w", c.Pruning, ErrBadConfig)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func TestConfigValidate(t *testing.T) {
 func TestStreamConfigValidate(t *testing.T) {
 	good := []StreamConfig{
 		{},
-		{BatchSize: 64, Decay: 0.5, MaxBatches: 3, Workers: 2, Pruning: PruneOn, Seed: 7},
+		{BatchSize: 64, Decay: 0.5, MaxBatches: 3, Workers: 2, Seed: 7},
 		{Decay: 0.999},
 	}
 	for _, c := range good {
@@ -47,7 +47,6 @@ func TestStreamConfigValidate(t *testing.T) {
 		{Decay: math.NaN()},
 		{MaxBatches: -1},
 		{Workers: -2},
-		{Pruning: PruneMode(3)},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); !errors.Is(err, ErrBadConfig) {

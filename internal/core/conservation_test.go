@@ -14,9 +14,9 @@ import (
 //
 //	pruned + scanned == n·k·Passes()
 //
-// regardless of the bound regime (first-pass boxes, Elkan full bounds, the
-// Hamerly fallback, the bound-free exhaustive reference). Whole-object and
-// whole-block skips must credit every pair they cover for the identity to
+// regardless of the bound regime (the full-scan first pass, Elkan full
+// bounds, the Hamerly fallback, the bound-free exhaustive reference).
+// Whole-object skips must credit every pair they cover for the identity to
 // hold.
 func TestAssignerCounterConservation(t *testing.T) {
 	k, m := 5, 3

@@ -85,7 +85,7 @@ func TestLloydPinnedReports(t *testing.T) {
 			{1, 0, 0x409db8778a43d2b7}}},
 		"ucpc-lloyd/maxiter-1": {0x4325bc5e22382b75, 1, false, 0x40a20758642551a1, 0, 640, []pinnedEvent{
 			{1, 100, 0x40a20758642551a1}}},
-		"ucpc-lloyd/empty-cluster": {0x8db9eb653ff2aa79, 6, false, 0x3f32918b668a8000, 248, 112, []pinnedEvent{
+		"ucpc-lloyd/empty-cluster": {0x8db9eb653ff2aa79, 6, false, 0x3f32918b668a8000, 200, 160, []pinnedEvent{
 			{1, 8, 0x3f32918b668a8000}, {2, 4, 0x3f32918b668a8000}, {3, 4, 0x3f32918b668a8000},
 			{4, 4, 0x3f32918b668a8000}, {5, 4, 0x3f32918b668a8000}, {6, 4, 0x3f32918b668a8000}}},
 	}

@@ -14,9 +14,9 @@ import (
 // O(1) bound tests on stale dot-cache entries — lives in the RelocEngine of
 // reloc.go):
 //
-//   - Assigner prunes nearest-centroid assignment steps (UK-means,
-//     UCPC-Lloyd, the UCPC k-means++ initial assignment). All of those
-//     minimize a distance of the form
+//   - Assigner runs every nearest-centroid assignment step (UK-means,
+//     UCPC-Lloyd, the UCPC k-means++ initial assignment, serving, the
+//     stream's mini-batches). All of those minimize a distance of the form
 //
 //         D(o, c) = ‖µ(o) − y_c‖² + v_c
 //
@@ -40,8 +40,11 @@ import (
 //     scheme — per-object upper/lower bounds with the lower bound shared
 //     across all non-assigned centroids, relaxed by the maximum drift.
 //
-//     Both regimes bootstrap from a per-block bounding-box (vec.Box)
-//     min/max filter on the first pass, when no bounds exist yet.
+//     Both regimes are seeded by a first pass that scans every centroid
+//     for every object, since no bounds exist yet. Callers that assign
+//     once and never come back (serving, the stream's per-batch step, the
+//     k-means++ initial assignment) build a disabled Assigner instead:
+//     bounds only pay off when a later pass reuses them.
 //
 //   - Every candidate the bounds fail to skip is scored by the direct
 //     subtract-square kernel vec.SqDistBlock, the one distance routine on
@@ -56,15 +59,10 @@ import (
 // Counter conservation: every (object, centroid) pair of every pass is
 // counted exactly once, as either pruned (decided without an O(m) row scan)
 // or scanned (an O(m) row evaluation ran), so
-// pruned + scanned == n·k·passes on every code path. Block-level box skips
-// and whole-object bound skips credit every pair they cover.
+// pruned + scanned == n·k·passes on every code path. Whole-object bound
+// skips credit every pair they cover.
 
 const (
-	// pruneBlock is the number of consecutive moment-store rows covered by
-	// one bounding box in the Assigner's first pass. Blocks follow the
-	// store's row order, so box construction and the filtered scans stream
-	// through contiguous memory.
-	pruneBlock = 64
 	// pruneSlack is the relative safety margin applied to every bound
 	// comparison. It is ~10⁷ coarser than double rounding error and ~10⁹
 	// finer than any distance contrast that matters, so it costs
@@ -114,27 +112,11 @@ type Assigner struct {
 	// Elkan state: lb[i*k+c] stores a lower bound on ‖µ(o_i) − y_c‖ in
 	// "absolute decay" form — the bound plus driftTot[c] at write time, so
 	// the current bound is lb[i*k+c] − driftTot[c] with no per-entry
-	// timestamps. driftTot[c] is centroid c's cumulative drift since the
-	// bounds were (re)seeded; it is reset only on Rebind, when the next
-	// first pass rewrites every entry anyway.
+	// timestamps. driftTot[c] is centroid c's cumulative drift since
+	// construction.
 	full     bool // per-pair bound table in use (n*k within elkanPairsMax)
 	lb       []float64
 	driftTot []float64
-
-	boxes        []vec.Box // per-block bounding boxes over the µ rows
-	boxLo, boxHi []float64 // flat nb*m backing for the box corners, reused
-	// across Rebind calls so per-batch rebuilds do
-	// not allocate once capacity has warmed up
-
-	// First-pass scratch pool: firstChunk needs a few k-sized slices per
-	// concurrent chunk body. ParallelAny runs at most `workers` chunk
-	// bodies per pass, so Assign sizes the pool to the worker count and
-	// each body claims a distinct slot through scratchNext — allocation-
-	// free after the pool has warmed up, which is what lets the streaming
-	// engine run a box-filtered first pass on every mini-batch without
-	// breaking its zero-allocation Observe gate.
-	scratchPool []firstScratch
-	scratchNext int32
 
 	passes          int
 	pruned, scanned int64
@@ -177,7 +159,6 @@ func NewAssigner(mom *uncertain.Moments, k int, enabled bool) *Assigner {
 		if a.full {
 			a.lb = make([]float64, n*k)
 		}
-		a.rebuildBoxes()
 	}
 	// Bind the chunk bodies once; each bind allocates a method value here
 	// so that no Assign call allocates later.
@@ -186,106 +167,6 @@ func NewAssigner(mom *uncertain.Moments, k int, enabled bool) *Assigner {
 	a.boundedBody = a.boundedChunk
 	a.elkanBody = a.elkanChunk
 	return a
-}
-
-// firstScratch is one chunk body's worth of first-pass scratch (all slices
-// k-sized); see Assigner.scratchPool.
-type firstScratch struct {
-	minD  []float64 // block lower bound on D per centroid
-	eMin  []float64 // block lower bound on ‖µ(o)−y_c‖²
-	eMinR []float64 // √eMin for the box-pruned centroids (Elkan seeds)
-	cand  []int     // surviving centroids
-	candR []float64 // Euclidean distance (or lower bound) per candidate
-}
-
-// growFloats returns s resliced to length n, reusing capacity and
-// zero-extending only when the backing array must grow.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return append(s[:cap(s)], make([]float64, n-cap(s))...)
-}
-
-// rebuildBoxes covers the µ rows of mom with one bounding box per
-// pruneBlock consecutive objects, reusing the flat corner backing across
-// calls.
-func (a *Assigner) rebuildBoxes() {
-	n, m := a.mom.Len(), a.m
-	nb := (n + pruneBlock - 1) / pruneBlock
-	a.boxLo = growFloats(a.boxLo, nb*m)
-	a.boxHi = growFloats(a.boxHi, nb*m)
-	if cap(a.boxes) >= nb {
-		a.boxes = a.boxes[:nb]
-	} else {
-		a.boxes = append(a.boxes[:cap(a.boxes)], make([]vec.Box, nb-cap(a.boxes))...)
-	}
-	for b := 0; b < nb; b++ {
-		lo, hi := b*pruneBlock, (b+1)*pruneBlock
-		if hi > n {
-			hi = n
-		}
-		bl := a.boxLo[b*m : (b+1)*m : (b+1)*m]
-		bh := a.boxHi[b*m : (b+1)*m : (b+1)*m]
-		copy(bl, a.mom.Mu(lo))
-		copy(bh, a.mom.Mu(lo))
-		for i := lo + 1; i < hi; i++ {
-			mu := a.mom.Mu(i)
-			for j := 0; j < m; j++ {
-				if mu[j] < bl[j] {
-					bl[j] = mu[j]
-				}
-				if mu[j] > bh[j] {
-					bh[j] = mu[j]
-				}
-			}
-		}
-		a.boxes[b] = vec.Box{Lo: bl, Hi: bh}
-	}
-}
-
-// Rebind re-derives the engine's per-object state after the underlying
-// Moments store changed — grew, shrank, or was refilled with a fresh
-// window of rows (the streaming mini-batch path recycles one resident
-// store across batches). All cross-pass memory is discarded: the next
-// Assign is a first pass again, with bounds, Elkan tables, and first-pass
-// boxes rebuilt over the current rows. Every backing array is reused, so a
-// steady-state Rebind+SetCenters+Assign cycle performs no heap allocations
-// once capacities have warmed up to the largest window seen.
-func (a *Assigner) Rebind() {
-	a.hasPrev = false
-	a.passes = 0
-	a.maxDrift = 0
-	if !a.enabled {
-		return
-	}
-	n := a.mom.Len()
-	a.upper = growFloats(a.upper, n)
-	a.lower = growFloats(a.lower, n)
-	a.full = a.k > 0 && n <= elkanPairsMax/a.k
-	if a.full {
-		// No zeroing needed: the next first pass rewrites every (i,c)
-		// entry, and driftTot restarts with it.
-		a.lb = growFloats(a.lb, n*a.k)
-	}
-	for c := range a.driftTot {
-		a.driftTot[c] = 0
-	}
-	a.ready = false
-	a.rebuildBoxes()
-}
-
-// ensureScratch sizes the first-pass scratch pool to at least `need` slots.
-func (a *Assigner) ensureScratch(need int) {
-	for len(a.scratchPool) < need {
-		a.scratchPool = append(a.scratchPool, firstScratch{
-			minD:  make([]float64, a.k),
-			eMin:  make([]float64, a.k),
-			eMinR: make([]float64, a.k),
-			cand:  make([]int, 0, a.k),
-			candR: make([]float64, a.k),
-		})
-	}
 }
 
 // SetCenters installs the centroid positions (flat k*m row-major) and the
@@ -401,9 +282,8 @@ func (a *Assigner) Counters() (pruned, scanned int64) {
 	return atomic.LoadInt64(&a.pruned), atomic.LoadInt64(&a.scanned)
 }
 
-// Passes returns the number of Assign passes run since construction (or the
-// last Rebind), for counter-conservation checks: pruned + scanned always
-// equals n·k·Passes().
+// Passes returns the number of Assign passes run since construction, for
+// counter-conservation checks: pruned + scanned always equals n·k·Passes().
 func (a *Assigner) Passes() int { return a.passes }
 
 // Assign reassigns every object to its nearest centroid under the current
@@ -419,9 +299,7 @@ func (a *Assigner) Assign(assign []int, workers int) bool {
 		a.fresh = a.passes == 1
 		changed = clustering.ParallelAny(a.mom.Len(), workers, a.exhaustBody)
 	case !a.ready:
-		a.ensureScratch(clustering.Workers(workers))
-		atomic.StoreInt32(&a.scratchNext, 0)
-		changed = clustering.ParallelAny(len(a.boxes), workers, a.firstBody)
+		changed = clustering.ParallelAny(a.mom.Len(), workers, a.firstBody)
 		a.ready = true
 	case a.full:
 		changed = clustering.ParallelAny(a.mom.Len(), workers, a.elkanBody)
@@ -479,93 +357,41 @@ func (a *Assigner) exhaustChunk(lo, hi int) bool {
 	return ch
 }
 
-// firstChunk initializes the per-object bounds with a per-block bounding-
-// box filter: centroids whose minimum possible D over the whole block
-// exceeds the block's best guaranteed D cannot win for any member and are
-// skipped (their pairs are counted as pruned for every member). In Elkan
-// mode the full lb row of every object is seeded here: box-pruned centroids
-// get the block's box bound, survivors their exact distance. Its per-chunk
-// scratch (needed for worker independence) comes from the preallocated
-// pool: ParallelAny runs at most Workers(workers) chunk bodies per pass,
-// so claiming slots through an atomic counter hands every body a distinct
-// slot without allocating.
-func (a *Assigner) firstChunk(blo, bhi int) bool {
+// firstChunk seeds the per-object bounds with a full scan: every centroid
+// is evaluated exactly and the lowest-index argmin wins, as in the
+// exhaustive first pass. The exact distances become the upper bound, the
+// shared lower bound (the nearest other centroid) and, in Elkan mode, the
+// object's whole lb row.
+func (a *Assigner) firstChunk(lo, hi int) bool {
 	assign := a.curAssign
-	n, k, m := a.mom.Len(), a.k, a.m
+	k, m := a.k, a.m
 	ch := false
-	var pruned, scanned int64
-	sc := &a.scratchPool[atomic.AddInt32(&a.scratchNext, 1)-1]
-	minD, eMin, eMinR, candR := sc.minD, sc.eMin, sc.eMinR, sc.candR
-	cand := sc.cand[:0]
-	for b := blo; b < bhi; b++ {
-		box := a.boxes[b]
-		bestMax := math.Inf(1)
+	for i := lo; i < hi; i++ {
+		mu := a.mom.Mu(i)
+		best, bestD, bestR, lower := 0, 0.0, math.Inf(1), math.Inf(1)
 		for c := 0; c < k; c++ {
-			row := vec.Vector(a.centers[c*m : (c+1)*m])
-			e := box.MinSqDist(row)
-			eMin[c] = e
-			minD[c] = e + a.add[c]
-			if hi := box.MaxSqDist(row) + a.add[c]; hi < bestMax {
-				bestMax = hi
-			}
-		}
-		thresh := bestMax + pruneSlack*(math.Abs(bestMax)+1)
-		cand = cand[:0]
-		prunedLB := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if minD[c] <= thresh {
-				cand = append(cand, c)
-				eMinR[c] = 0
-			} else {
-				s := math.Sqrt(eMin[c])
-				eMinR[c] = s
-				if s < prunedLB {
-					prunedLB = s
-				}
-			}
-		}
-		lo, hi := b*pruneBlock, (b+1)*pruneBlock
-		if hi > n {
-			hi = n
-		}
-		pruned += int64(hi-lo) * int64(k-len(cand))
-		scanned += int64(hi-lo) * int64(len(cand))
-		for i := lo; i < hi; i++ {
-			mu := a.mom.Mu(i)
-			bestCi := 0
-			bestD := math.Inf(1)
-			for ci, c := range cand {
-				r2 := vec.SqDistBlock(mu, a.centers[c*m:(c+1)*m])
-				candR[ci] = math.Sqrt(r2)
-				if d := r2 + a.add[c]; d < bestD {
-					bestCi, bestD = ci, d
-				}
-			}
-			lower := prunedLB
-			for ci := range cand {
-				if ci != bestCi && candR[ci] < lower {
-					lower = candR[ci]
-				}
-			}
-			a.upper[i] = candR[bestCi]
-			a.lower[i] = lower
+			r2 := vec.SqDistBlock(mu, a.centers[c*m:(c+1)*m])
+			r := math.Sqrt(r2)
 			if a.full {
-				base := i * k
-				for c := 0; c < k; c++ {
-					a.lb[base+c] = eMinR[c] + a.driftTot[c]
-				}
-				for ci, c := range cand {
-					a.lb[base+c] = candR[ci] + a.driftTot[c]
-				}
+				a.lb[i*k+c] = r + a.driftTot[c]
 			}
-			if best := cand[bestCi]; assign[i] != best {
-				assign[i] = best
-				ch = true
+			if d := r2 + a.add[c]; c == 0 || d < bestD {
+				if bestR < lower {
+					lower = bestR
+				}
+				best, bestD, bestR = c, d, r
+			} else if r < lower {
+				lower = r
 			}
+		}
+		a.upper[i] = bestR
+		a.lower[i] = lower
+		if assign[i] != best {
+			assign[i] = best
+			ch = true
 		}
 	}
-	atomic.AddInt64(&a.pruned, pruned)
-	atomic.AddInt64(&a.scanned, scanned)
+	atomic.AddInt64(&a.scanned, int64(hi-lo)*int64(k))
 	return ch
 }
 

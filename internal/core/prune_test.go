@@ -219,17 +219,69 @@ func TestRelocBoundHolds(t *testing.T) {
 	}
 }
 
-// TestBlockBoxesCoverRows: every µ row lies inside its block's box.
-func TestBlockBoxesCoverRows(t *testing.T) {
-	mom := pruneTestMoments(41, 3, 21, 4) // 63 objects: a ragged final block
-	boxes := NewAssigner(mom, 3, true).boxes
-	want := (mom.Len() + pruneBlock - 1) / pruneBlock
-	if len(boxes) != want {
-		t.Fatalf("%d boxes, want %d", len(boxes), want)
+// TestFirstPassBounds: one enabled Assign from −1, in the Elkan regime and
+// in the forced Hamerly regime, leaves bounds that hold against the exact
+// distances and a partition identical to the exhaustive engine's. The
+// centers are installed twice first so the cumulative drifts the Elkan
+// entries carry are non-zero.
+func TestFirstPassBounds(t *testing.T) {
+	k, m := 5, 3
+	mom := pruneTestMoments(51, k, 40, m)
+	n := mom.Len()
+	r := rng.New(52)
+	centers := make([]float64, k*m)
+	adds := make([]float64, k)
+	for c := 0; c < k; c++ {
+		for j := 0; j < m; j++ {
+			centers[c*m+j] = 10*float64(c) + r.Normal(0, 1)
+		}
+		adds[c] = r.Float64() * 2
 	}
-	for i := 0; i < mom.Len(); i++ {
-		if !boxes[i/pruneBlock].Contains(vec.Vector(mom.Mu(i))) {
-			t.Errorf("object %d outside its block box", i)
+	exhaust := NewAssigner(mom, k, false)
+	want := make([]int, n)
+	for i := range want {
+		want[i] = -1
+	}
+	first := append([]float64(nil), centers...)
+	driftCenters(r, centers, 0.5)
+	exhaust.SetCenters(centers, adds)
+	exhaust.Assign(want, 1)
+
+	for _, full := range []bool{true, false} {
+		a := NewAssigner(mom, k, true)
+		a.full = full
+		a.SetCenters(first, adds)
+		a.SetCenters(centers, adds)
+		got := make([]int, n)
+		for i := range got {
+			got[i] = -1
+		}
+		a.Assign(got, 3)
+		if pruned, scanned := a.Counters(); pruned != 0 || scanned != int64(n*k) {
+			t.Errorf("full=%v: counters (%d, %d), want (0, %d)", full, pruned, scanned, n*k)
+		}
+		for i := 0; i < n; i++ {
+			if got[i] != want[i] {
+				t.Fatalf("full=%v object %d: first pass %d vs exhaustive %d", full, i, got[i], want[i])
+			}
+			for c := 0; c < k; c++ {
+				exact := math.Sqrt(vec.SqDistBlock(mom.Mu(i), centers[c*m:(c+1)*m]))
+				if c == got[i] {
+					if a.upper[i] != exact {
+						t.Fatalf("full=%v object %d: upper %v, exact %v", full, i, a.upper[i], exact)
+					}
+				} else if a.lower[i] > exact {
+					t.Fatalf("full=%v object %d: lower %v exceeds centroid %d's %v", full, i, a.lower[i], c, exact)
+				}
+				if !full {
+					continue
+				}
+				// lb stores bound + cumulative drift; subtracting the drift
+				// back may round up by an ulp of the drift.
+				if lb := a.lb[i*k+c] - a.driftTot[c]; lb > exact+1e-12*(a.driftTot[c]+exact+1) {
+					t.Fatalf("object %d centroid %d: lb %v exceeds exact %v", i, c, lb, exact)
+				}
+			}
 		}
 	}
 }

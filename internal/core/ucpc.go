@@ -48,9 +48,9 @@ type UCPC struct {
 	// the next decision reads), so the partition produced for a given seed
 	// is identical for every Workers value.
 	Workers int
-	// Pruning toggles the exact bound-based pruning of the k-means++
-	// initial assignment (Assigner) and of the relocation candidate scans
-	// (RelocEngine). Default on; the partition is identical either way.
+	// Pruning toggles the exact bound-based pruning of the relocation
+	// candidate scans (RelocEngine). Default on; the partition is
+	// identical either way.
 	Pruning clustering.PruneMode
 	// Progress, when non-nil, observes every pass: iteration index, the
 	// objective Σ_C J(C), and the number of relocations applied. The
@@ -101,10 +101,11 @@ func (u *UCPC) cluster(ctx context.Context, ds uncertain.Dataset, k int, init []
 	mom := uncertain.MomentsOf(ds)
 
 	// Line 1-3: initial partition and per-cluster statistics. The
-	// k-means++ assignment runs through the pruning engine: ÊD(o, s_c) =
+	// k-means++ assignment runs through the Assigner: ÊD(o, s_c) =
 	// ‖µ(o) − µ(s_c)‖² + σ²(o) + σ²(s_c) is a Euclidean distance plus a
-	// per-seed additive term (the σ²(o) part is constant across seeds), so
-	// the engine's bounding-box first pass skips hopeless seeds exactly.
+	// per-seed additive term (the σ²(o) part is constant across seeds). It
+	// is a single pass, so it is a plain full scan: no bound it could seed
+	// is ever reused.
 	var assign []int
 	var initPruned, initScanned int64
 	switch {
@@ -116,7 +117,7 @@ func (u *UCPC) cluster(ctx context.Context, ds uncertain.Dataset, k int, init []
 		for i := range assign {
 			assign[i] = -1
 		}
-		eng := NewAssigner(mom, k, u.Pruning.Enabled())
+		eng := NewAssigner(mom, k, false)
 		centers := make([]float64, k*m)
 		adds := make([]float64, k)
 		for c, s := range seeds {

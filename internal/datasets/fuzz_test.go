@@ -150,3 +150,24 @@ func FuzzSpecGenerate(f *testing.F) {
 		}
 	})
 }
+
+func FuzzParseMarginal(f *testing.F) {
+	for _, tc := range marginalCases {
+		f.Add(tc.tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		if len(tok) > 512 {
+			t.Skip()
+		}
+		d, err := ParseMarginal(tok)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("untyped parse error: %v", err)
+			}
+			return
+		}
+		if why := momentsViolation(d); why != "" {
+			t.Fatalf("%q accepted with %s (mean %v, variance %v)", tok, why, d.Mean(), d.Var())
+		}
+	})
+}

@@ -147,14 +147,33 @@ func encodeDist(d dist.Distribution) (string, error) {
 // finite reports whether v is a usable parameter value (not NaN, not ±Inf).
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// momentUlps is the relative rounding slack checkMoments grants the closed
+// forms: a few ulps, so that a mean computed a rounding step past its
+// support, or a two-point Discrete sitting exactly at Popoviciu's bound,
+// still parses.
+const momentUlps = 4 * 0x1p-52
+
 // checkMoments rejects a decoded marginal whose closed-form moments are not
 // finite numbers — parameters can be individually finite yet combine into
 // overflow (e.g. a Uniform spanning the whole float range) or an empty
 // truncation region (NaN moments). Letting such objects through would make
-// every downstream distance NaN without any error.
+// every downstream distance NaN without any error. It also rejects finite
+// but wrong moments, which would silently corrupt the statistics instead:
+// a mean outside Support() [lo, hi], or a variance above (hi − lo)²/4
+// (Popoviciu's bound), each beyond momentUlps of rounding.
 func checkMoments(d dist.Distribution, tok string) (dist.Distribution, error) {
-	if !finite(d.Mean()) || !finite(d.SecondMoment()) || !finite(d.Var()) || d.Var() < 0 {
+	mu, v := d.Mean(), d.Var()
+	if !finite(mu) || !finite(d.SecondMoment()) || !finite(v) || v < 0 {
 		return nil, fmt.Errorf("token %q: parameters yield non-finite moments: %w", tok, ErrMalformed)
+	}
+	lo, hi := d.Support()
+	if mu < lo-momentUlps*math.Abs(lo) || mu > hi+momentUlps*math.Abs(hi) {
+		return nil, fmt.Errorf("token %q: mean %v outside support [%v, %v]: %w", tok, mu, lo, hi, ErrMalformed)
+	}
+	// Variances of the m₂ − µ² form round at the scale of µ², not of the
+	// variance itself, so the slack is relative to the larger of the two.
+	if bound := (hi - lo) * (hi - lo) / 4; v > bound+momentUlps*math.Max(bound, mu*mu) {
+		return nil, fmt.Errorf("token %q: variance %v above the (hi-lo)²/4 bound %v: %w", tok, v, bound, ErrMalformed)
 	}
 	return d, nil
 }

@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -144,5 +145,99 @@ func TestUCSVUntruncatedFamilies(t *testing.T) {
 	}
 	if _, ok := back[0].Marginal(1).(dist.Exponential); !ok {
 		t.Errorf("untruncated Exponential decoded as %T", back[0].Marginal(1))
+	}
+}
+
+// marginalCases covers every token family with tokens the parser must
+// accept or reject on their moments; FuzzParseMarginal seeds from it.
+var marginalCases = []struct {
+	tok string
+	ok  bool
+}{
+	{"P:1.5", true},
+	{"U:-1:2", true},
+	{"U:-1e308:1e308", false}, // the width overflows: infinite variance
+	{"N:0:1:-inf:+inf", true},
+	{"N:2:1.5:0:3", true},
+	{"N:0:1:-9:-8", true},
+	{"N:0:1:8:9", true},         // upper tail: used to parse with its mean outside [8, 9]
+	{"N:0:1:9:10", true},        // upper tail: used to be rejected as non-finite
+	{"N:0:1:2:2.000001", false}, // narrow window: variance above (hi-lo)²/4
+	{"N:0:1:40:41", false},      // beyond ~38σ: Z underflows to zero
+	{"E:2:-1:+inf", true},
+	{"E:2:1:3", true},
+	{"D:1:0.2:2:0.3:3:0.5", true},
+	{"D:0:0.5:1:0.5", true},     // variance exactly at (hi-lo)²/4
+	{"D:3.3:0.5:7.7:0.5", true}, // two ulps above the bound by rounding
+	{"D:0.1:0.3:0.1:0.7", true}, // mean one ulp below the support
+	{"D:1:0:2:0", false},        // zero total weight
+}
+
+// momentsViolation restates checkMoments' invariants with a looser slack:
+// finite moments, the mean inside Support(), and 0 ≤ Var ≤ (hi−lo)²/4.
+// It returns "" when d satisfies them.
+func momentsViolation(d dist.Distribution) string {
+	const slack = 1e-12
+	mu, m2, v := d.Mean(), d.SecondMoment(), d.Var()
+	lo, hi := d.Support()
+	switch {
+	case !finite(mu) || !finite(m2) || !finite(v) || v < 0:
+		return "non-finite or negative moments"
+	case mu < lo-slack*math.Abs(lo) || mu > hi+slack*math.Abs(hi):
+		return "mean outside support"
+	case v > (hi-lo)*(hi-lo)/4+slack*math.Max((hi-lo)*(hi-lo)/4, mu*mu):
+		return "variance above (hi-lo)²/4"
+	}
+	return ""
+}
+
+func TestParseMarginalMoments(t *testing.T) {
+	for _, tc := range marginalCases {
+		d, err := ParseMarginal(tc.tok)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: accepted with mean %v, variance %v", tc.tok, d.Mean(), d.Var())
+			} else if !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s: untyped error %v", tc.tok, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.tok, err)
+			continue
+		}
+		if why := momentsViolation(d); why != "" {
+			t.Errorf("%s: accepted with %s (mean %v, variance %v)", tc.tok, why, d.Mean(), d.Var())
+		}
+	}
+}
+
+// fakeMoments overrides a Uniform's moments, standing in for a closed form
+// that returns finite but wrong values.
+type fakeMoments struct {
+	dist.Uniform
+	mean, variance float64
+}
+
+func (f fakeMoments) Mean() float64         { return f.mean }
+func (f fakeMoments) Var() float64          { return f.variance }
+func (f fakeMoments) SecondMoment() float64 { return f.variance + f.mean*f.mean }
+
+// TestCheckMomentsRejectsWrongMoments: finite moments that break the
+// support or Popoviciu's bound are rejected, not passed on.
+func TestCheckMomentsRejectsWrongMoments(t *testing.T) {
+	u := dist.NewUniform(8, 9)
+	for _, d := range []fakeMoments{
+		{u, 7.58, 0.01}, // the old N:0:1:8:9 mean, below the support
+		{u, 9.5, 0.01},  // above the support
+		{u, 8.5, 4.16},  // the old N:0:1:8:9 variance, above 1/4
+		{u, 8.5, 0.26},
+	} {
+		if _, err := checkMoments(d, "fake"); !errors.Is(err, ErrMalformed) {
+			t.Errorf("mean %v variance %v: err %v, want ErrMalformed", d.mean, d.variance, err)
+		}
+	}
+	if _, err := checkMoments(fakeMoments{u, 9, 0.25}, "fake"); err != nil {
+		t.Errorf("moments at the support edge and the bound rejected: %v", err)
 	}
 }

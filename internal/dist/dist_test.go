@@ -319,3 +319,39 @@ func BenchmarkStdQuantile(b *testing.B) {
 		_ = stdQuantile(float64(i%1000+1) / 1001)
 	}
 }
+
+// TestTruncNormalUpperTail: windows wholly above the mean (α > 0) take
+// their moments from the lower-tail mirror, where Z = Φ(β) − Φ(α) does not
+// cancel. The mean negates and the variance carries over bit for bit, and
+// far-tail windows keep their mean inside the support.
+func TestTruncNormalUpperTail(t *testing.T) {
+	cases := []struct {
+		mu, sigma, lo, hi float64
+		mean, variance    float64 // reference values, 0 = not checked
+	}{
+		{0, 1, 8, 9, 8.1212, 0.014149},
+		{0, 1, 9, 10, 9.1085, 0},
+		{0, 1, 0.5, 3, 0, 0},
+		{-3, 2, 5, 20, 0, 0},
+		{1e3, 0.5, 1003, 1004, 0, 0},
+	}
+	for _, tc := range cases {
+		tn := NewTruncNormal(tc.mu, tc.sigma, tc.lo, tc.hi)
+		mirror := NewTruncNormal(-tc.mu, tc.sigma, -tc.hi, -tc.lo)
+		if tn.Mean() != -mirror.Mean() || tn.Var() != mirror.Var() {
+			t.Errorf("%+v: moments (%v, %v) vs mirror (%v, %v)", tc, tn.Mean(), tn.Var(), -mirror.Mean(), mirror.Var())
+		}
+		if m := tn.Mean(); m < tc.lo || m > tc.hi {
+			t.Errorf("%+v: mean %v outside [%v, %v]", tc, m, tc.lo, tc.hi)
+		}
+		if v, w := tn.Var(), tc.hi-tc.lo; v <= 0 || v > w*w/4 {
+			t.Errorf("%+v: variance %v outside (0, %v]", tc, v, w*w/4)
+		}
+		if tc.mean != 0 && math.Abs(tn.Mean()-tc.mean) > 1e-4 {
+			t.Errorf("%+v: mean %v, want ≈ %v", tc, tn.Mean(), tc.mean)
+		}
+		if tc.variance != 0 && math.Abs(tn.Var()-tc.variance) > 1e-6 {
+			t.Errorf("%+v: variance %v, want ≈ %v", tc, tn.Var(), tc.variance)
+		}
+	}
+}

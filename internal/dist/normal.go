@@ -158,15 +158,32 @@ func (t TruncNormal) bounds() (alpha, beta, z float64) {
 	return alpha, beta, stdCDF(beta) - stdCDF(alpha)
 }
 
+// mirror returns the reflection of t about zero, and whether t lies
+// wholly in the upper tail (α > 0). There Z = Φ(β) − Φ(α) subtracts two
+// values close to 1 and cancels catastrophically, while the mirror's
+// Z = Φ(−α) − Φ(−β) subtracts two small tail masses, each accurate from
+// erfc. The moments use the mirror for such windows: the mean negates and
+// the variance is unchanged.
+func (t TruncNormal) mirror() (TruncNormal, bool) {
+	alpha := (t.Lo - t.Mu) / t.Sigma
+	return TruncNormal{Mu: -t.Mu, Sigma: t.Sigma, Lo: -t.Hi, Hi: -t.Lo}, alpha > 0
+}
+
 // Mean returns Mu + Sigma·(φ(α)−φ(β))/Z (the standard truncated-normal
 // closed form).
 func (t TruncNormal) Mean() float64 {
+	if mt, upper := t.mirror(); upper {
+		return -mt.Mean()
+	}
 	alpha, beta, z := t.bounds()
 	return t.Mu + t.Sigma*(stdPDF(alpha)-stdPDF(beta))/z
 }
 
 // Var returns Sigma²·[1 + (αφ(α)−βφ(β))/Z − ((φ(α)−φ(β))/Z)²].
 func (t TruncNormal) Var() float64 {
+	if mt, upper := t.mirror(); upper {
+		return mt.Var()
+	}
 	alpha, beta, z := t.bounds()
 	pa, pb := stdPDF(alpha), stdPDF(beta)
 	d := (pa - pb) / z

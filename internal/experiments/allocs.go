@@ -95,8 +95,8 @@ func measureSteadyAllocs(ctx context.Context, cfg PruneBenchConfig, ds uncertain
 	// Assignment sweeps (UKM, UCPC-Lloyd): SetCenters + Assign against the
 	// converged centroids, workers=1 (the measurement configuration; extra
 	// workers add goroutine-spawn allocations by design). The warm call
-	// runs the box-filtered first pass; the measured passes take the
-	// steady-state Hamerly-style bounded path.
+	// runs the full-scan first pass; the measured passes take the
+	// steady-state bounded path.
 	{
 		assign, err := converged(&ukmeans.UKMeans{Workers: cfg.Workers})
 		if err != nil {

@@ -413,7 +413,7 @@ func measureCtxOverhead(ctx context.Context, cfg PruneBenchConfig, ds uncertain.
 	}
 	baselinePass := func() {
 		mom := uncertain.MomentsOf(ds)
-		eng := core.NewAssigner(mom, k, clusterer.Config.Pruning.Enabled())
+		eng := core.NewAssigner(mom, k, false)
 		eng.SetCenters(flat, adds)
 		assign := make([]int, len(ds))
 		for i := range assign {

@@ -33,12 +33,15 @@ type TenantSpec struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	K         int    `json:"k"`
 	// Workers/MaxIter/Seed/Pruning populate the tenant's ucpc.Config (batch
-	// fits, FitFrom refreshes, Model.Assign serving).
+	// fits and FitFrom refreshes; Workers also sizes Model.Assign serving
+	// and the stream's per-batch scans).
 	Workers int    `json:"workers,omitempty"`
 	MaxIter int    `json:"max_iter,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
 	// Pruning is "on", "off", or "" (= on; results are identical either
-	// way, only the amount of distance arithmetic differs).
+	// way, only the amount of distance arithmetic differs). It applies to
+	// batch refits only: serving and stream ingestion assign each object
+	// once, by a plain scan.
 	Pruning string `json:"pruning,omitempty"`
 	// BatchSize/Decay/MaxBatches populate the tenant's ucpc.StreamConfig
 	// (the observe ingestion path).
@@ -77,7 +80,7 @@ func (s TenantSpec) config() (ucpc.Config, ucpc.StreamConfig, error) {
 	cfg := ucpc.Config{Workers: s.Workers, MaxIter: s.MaxIter, Seed: s.Seed, Pruning: prune}
 	scfg := ucpc.StreamConfig{
 		BatchSize: s.BatchSize, Decay: s.Decay, MaxBatches: s.MaxBatches,
-		Workers: s.Workers, Seed: s.Seed, Pruning: prune,
+		Workers: s.Workers, Seed: s.Seed,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, scfg, err

@@ -6,10 +6,11 @@
 // moment store (uncertain.NewMoments) that is refilled with each mini-batch
 // and recycled between batches — so the resident footprint is O(BatchSize·m)
 // regardless of how many objects stream through. Each batch is scored
-// against the current centroids through the exact pruned assignment engine
-// (core.Assigner, rebound to the fresh window with Rebind), then folded
-// into per-cluster weighted sufficient statistics (core.WStats) with an
-// optional per-batch exponential forgetting factor. The centroid read-out
+// against the current centroids by one full nearest-centroid scan
+// (core.Assigner with its bounds disabled: a batch is assigned once, so no
+// bound would ever be reused), then folded into per-cluster weighted
+// sufficient statistics (core.WStats) with an optional per-batch
+// exponential forgetting factor. The centroid read-out
 //
 //	mean_c = S_c/W_c,  add_c = Ψ_c/W_c²
 //
@@ -138,7 +139,7 @@ func (e *Engine) bind(m int) {
 	e.means = make([]float64, e.k*m)
 	e.adds = make([]float64, e.k)
 	e.ws = core.NewWStats(e.k, m)
-	e.asg = core.NewAssigner(e.store, e.k, e.cfg.Pruning.Enabled())
+	e.asg = core.NewAssigner(e.store, e.k, false)
 }
 
 // Observe ingests a batch of uncertain objects: the input is split into
@@ -332,7 +333,6 @@ func (e *Engine) refineSeed() {
 	prev := make([]int, n)
 	stable := false
 	for t := 0; t < refineMaxIter; t++ {
-		e.asg.Rebind()
 		e.asg.SetCenters(e.means, e.adds)
 		for i := range assign {
 			assign[i] = -1
@@ -416,7 +416,6 @@ func (e *Engine) step() {
 	if n == 0 {
 		return
 	}
-	e.asg.Rebind()
 	e.asg.SetCenters(e.means, e.adds)
 	if cap(e.assign) < n {
 		e.assign = append(e.assign[:cap(e.assign)], make([]int, n-cap(e.assign))...)

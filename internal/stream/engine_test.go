@@ -113,44 +113,6 @@ func TestEngineDimMismatch(t *testing.T) {
 	}
 }
 
-// TestEnginePruningExactness: the per-batch box-filtered first pass must
-// produce bit-identical centroids to the exhaustive scan — pruning is
-// exact on the streaming path too.
-func TestEnginePruningExactness(t *testing.T) {
-	ctx := context.Background()
-	ds := blobs(1500, 4, 9)
-	var frozen [2]*Frozen
-	for i, mode := range []clustering.PruneMode{clustering.PruneOn, clustering.PruneOff} {
-		e, err := New(4, clustering.StreamConfig{BatchSize: 128, Pruning: mode, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(ds); lo += 300 { // uneven re-chunking on purpose
-			hi := lo + 300
-			if hi > len(ds) {
-				hi = len(ds)
-			}
-			if err := e.Observe(ctx, ds[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		frozen[i], err = e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range frozen[0].Means {
-		if frozen[0].Means[i] != frozen[1].Means[i] {
-			t.Fatalf("mean %d: pruned %v vs exhaustive %v", i, frozen[0].Means[i], frozen[1].Means[i])
-		}
-	}
-	for c := range frozen[0].Adds {
-		if frozen[0].Adds[c] != frozen[1].Adds[c] {
-			t.Fatalf("add %d: pruned %v vs exhaustive %v", c, frozen[0].Adds[c], frozen[1].Adds[c])
-		}
-	}
-}
-
 // TestEngineWorkerInvariance: the per-batch assignment fan-out covers only
 // order-independent work, so the fitted centroids are bit-identical for
 // every worker count.

@@ -120,7 +120,7 @@ func (f *ShardedFit) SetRemoteStats(source string, payload []byte) error {
 // tree reduction in shard order, with greedy centroid matching (globally
 // closest pair first, ties to the lowest index) reconciling cluster
 // correspondence before each pairwise add — and freezes the merged
-// weighted U-centroids as a regular Model, served through the same pruned
+// weighted U-centroids as a regular Model, served through the same
 // Model.Assign path as any other fit.
 //
 // Shards that have not yet observed k objects are merged-around: Snapshot

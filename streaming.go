@@ -12,7 +12,7 @@ import (
 
 // StreamConfig configures the mini-batch streaming engine: BatchSize,
 // Decay (per-batch exponential forgetting), MaxBatches, plus the shared
-// Workers/Pruning/Seed knobs. Aliased from the internal registry layer so
+// Workers/Seed knobs. Aliased from the internal registry layer so
 // one value means the same thing everywhere.
 type StreamConfig = clustering.StreamConfig
 
@@ -32,8 +32,8 @@ var (
 //
 // Begin opens a StreamFit; Observe feeds it uncertain objects in arbitrary
 // portions (internally re-chunked to Config.BatchSize mini-batches, each
-// scored against the current centroids through the exact pruned assignment
-// engine and folded into decayed per-cluster sufficient statistics — the
+// scored against the current centroids by a full nearest-centroid scan
+// and folded into decayed per-cluster sufficient statistics — the
 // classic mini-batch k-means decaying learning rate, generalized to the
 // paper's U-centroid statistics); Snapshot freezes the current centroids as
 // a regular Model at any time, without stopping the stream.
@@ -126,7 +126,7 @@ func (f *StreamFit) Observe(ctx context.Context, objs Dataset) error {
 // Snapshot freezes the stream's current centroids as a Model, without
 // stopping the stream: the model's prototypes are the weighted U-centroids
 // of everything observed so far (mean = S_c/W_c, Var = Ψ_c/W_c², the
-// weighted Theorem-2 closed form), served through the same pruned
+// weighted Theorem-2 closed form), served through the same
 // Model.Assign path as a batch fit. The model declares "UCPC-Lloyd" — the
 // batch counterpart of the mini-batch update — as its algorithm, so
 // Clusterer.FitFrom can warm-start a full batch refit from a snapshot.
@@ -159,7 +159,7 @@ func modelFromFrozen(fz *stream.Frozen, cfg StreamConfig) *Model {
 	return &Model{
 		algorithm: "UCPC-Lloyd",
 		proto:     clustering.ProtoUCentroid,
-		cfg:       Config{Workers: cfg.Workers, Pruning: cfg.Pruning, Seed: cfg.Seed},
+		cfg:       Config{Workers: cfg.Workers, Seed: cfg.Seed},
 		k:         fz.K,
 		dims:      fz.Dims,
 		report: &clustering.Report{

@@ -252,26 +252,24 @@ func TestStreamConcurrentObserveSnapshot(t *testing.T) {
 // heap allocations (Workers = 1; the pool spawn itself allocates).
 func TestStreamObserveSteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
-	for _, mode := range []ucpc.PruneMode{ucpc.PruneOn, ucpc.PruneOff} {
-		sf, err := (&ucpc.StreamClusterer{Config: ucpc.StreamConfig{
-			BatchSize: 256, Workers: 1, Pruning: mode, Seed: 4,
-		}}).Begin(ctx, 4)
-		if err != nil {
+	sf, err := (&ucpc.StreamClusterer{Config: ucpc.StreamConfig{
+		BatchSize: 256, Workers: 1, Seed: 4,
+	}}).Begin(ctx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := streamBlobs(256, 8)
+	for i := 0; i < 4; i++ { // warm-up: seed + capacity growth
+		if err := sf.Observe(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
-		batch := streamBlobs(256, 8)
-		for i := 0; i < 4; i++ { // warm-up: seed + capacity growth
-			if err := sf.Observe(ctx, batch); err != nil {
-				t.Fatal(err)
-			}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := sf.Observe(ctx, batch); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := sf.Observe(ctx, batch); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("pruning %v: steady-state Observe allocates %v times per batch", mode, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Observe allocates %v times per batch", allocs)
 	}
 }
