@@ -79,9 +79,9 @@ func ReadErrorCSV(r io.Reader, hasLabels bool, mass float64) (uncertain.Dataset,
 				// empty window (found by FuzzReadErrorCSV).
 				ms[j] = dist.NewPointMass(v)
 			} else {
-				d, err := checkMoments(dist.NewTruncNormalCentral(v, e, mass), rec[2*j]+"±"+rec[2*j+1])
-				if err != nil {
-					return nil, fmt.Errorf("datasets: error-CSV row %d: %w", rowNum, err)
+				d := dist.NewTruncNormalCentral(v, e, mass)
+				if err := checkMoments(d); err != nil {
+					return nil, fmt.Errorf("datasets: error-CSV row %d: %s±%s: %w", rowNum, rec[2*j], rec[2*j+1], err)
 				}
 				ms[j] = d
 			}

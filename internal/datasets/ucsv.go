@@ -101,7 +101,8 @@ func ReadUncertainCSV(r io.Reader) (uncertain.Dataset, error) {
 // ParseMarginal decodes one ucsv marginal token (see the format comment
 // above) into a distribution, applying the same validation as
 // ReadUncertainCSV: malformed tokens, unknown families, and parameters
-// yielding non-finite moments return a wrapped ErrMalformed, never a panic.
+// yielding invalid moments (see checkMoments) return a wrapped
+// ErrMalformed, never a panic.
 // This is the object wire format of the serving daemon's JSON payloads,
 // shared with the CSV reader so there is exactly one hardened parser.
 func ParseMarginal(tok string) (dist.Distribution, error) {
@@ -153,137 +154,148 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // still parses.
 const momentUlps = 4 * 0x1p-52
 
-// checkMoments rejects a decoded marginal whose closed-form moments are not
-// finite numbers — parameters can be individually finite yet combine into
-// overflow (e.g. a Uniform spanning the whole float range) or an empty
-// truncation region (NaN moments). Letting such objects through would make
-// every downstream distance NaN without any error. It also rejects finite
-// but wrong moments, which would silently corrupt the statistics instead:
-// a mean outside Support() [lo, hi], or a variance above (hi − lo)²/4
-// (Popoviciu's bound), each beyond momentUlps of rounding.
-func checkMoments(d dist.Distribution, tok string) (dist.Distribution, error) {
-	mu, v := d.Mean(), d.Var()
-	if !finite(mu) || !finite(d.SecondMoment()) || !finite(v) || v < 0 {
-		return nil, fmt.Errorf("token %q: parameters yield non-finite moments: %w", tok, ErrMalformed)
+// checkMoments rejects closed-form moments that are not finite numbers —
+// parameters can be individually finite yet combine into overflow (e.g. a
+// Uniform spanning the whole float range) or an empty truncation region
+// (NaN moments). Letting such objects through would make every downstream
+// distance NaN without any error. It also rejects finite but wrong
+// moments, which would silently corrupt the statistics instead: a mean
+// outside the support [lo, hi], or a variance above (hi − lo)²/4
+// (Popoviciu's bound), each beyond momentUlps of rounding. The closed form
+// is evaluated once, through dist.Moments.
+func checkMoments(d dist.Distribution) error {
+	mu, mu2, v := dist.Moments(d)
+	if !finite(mu) || !finite(mu2) || !finite(v) || v < 0 {
+		return fmt.Errorf("parameters yield non-finite moments: %w", ErrMalformed)
 	}
 	lo, hi := d.Support()
 	if mu < lo-momentUlps*math.Abs(lo) || mu > hi+momentUlps*math.Abs(hi) {
-		return nil, fmt.Errorf("token %q: mean %v outside support [%v, %v]: %w", tok, mu, lo, hi, ErrMalformed)
+		return fmt.Errorf("mean %v outside support [%v, %v]: %w", mu, lo, hi, ErrMalformed)
 	}
 	// Variances of the m₂ − µ² form round at the scale of µ², not of the
 	// variance itself, so the slack is relative to the larger of the two.
 	if bound := (hi - lo) * (hi - lo) / 4; v > bound+momentUlps*math.Max(bound, mu*mu) {
-		return nil, fmt.Errorf("token %q: variance %v above the (hi-lo)²/4 bound %v: %w", tok, v, bound, ErrMalformed)
+		return fmt.Errorf("variance %v above the (hi-lo)²/4 bound %v: %w", v, bound, ErrMalformed)
 	}
-	return d, nil
+	return nil
+}
+
+// CheckPoint applies the moment check a "P:x" token gets to a plain point
+// coordinate x, so a coordinate whose square overflows is rejected
+// instead of scored at infinite distance from every prototype.
+func CheckPoint(x float64) error {
+	if err := checkMoments(dist.NewPointMass(x)); err != nil {
+		return fmt.Errorf("point %v: %w", x, err)
+	}
+	return nil
 }
 
 // decodeDist parses one marginal token. Every panic domain of the dist
 // constructors is validated away first, so malformed tokens always return a
-// wrapped ErrMalformed.
+// wrapped ErrMalformed. It walks the colon-separated fields in place, so on
+// success the only allocations are the returned interface value and, for
+// D tokens, the atoms.
 func decodeDist(tok string) (dist.Distribution, error) {
-	parts := strings.Split(tok, ":")
+	name, rest, _ := strings.Cut(tok, ":")
+	nparams := strings.Count(tok, ":")
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("token %q: "+format+": %w", append(append([]any{tok}, args...), ErrMalformed)...)
 	}
-	nums := func(want int) ([]float64, error) {
-		if len(parts)-1 != want {
-			return nil, bad("%d params, want %d", len(parts)-1, want)
+	checked := func(d dist.Distribution) (dist.Distribution, error) {
+		if err := checkMoments(d); err != nil {
+			return nil, fmt.Errorf("token %q: %w", tok, err)
 		}
-		out := make([]float64, want)
+		return d, nil
+	}
+	var v [4]float64
+	nums := func(want int) error {
+		if nparams != want {
+			return bad("%d params, want %d", nparams, want)
+		}
 		for i := 0; i < want; i++ {
-			s := parts[i+1]
+			var s string
+			s, rest, _ = strings.Cut(rest, ":")
 			switch s {
 			case "-inf":
-				out[i] = negInf
+				v[i] = negInf
 				continue
 			case "+inf", "inf":
-				out[i] = posInf
+				v[i] = posInf
 				continue
 			}
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || math.IsNaN(v) {
-				return nil, bad("bad number %q", s)
+			x, err := strconv.ParseFloat(s, 64)
+			if err != nil || math.IsNaN(x) {
+				return bad("bad number %q", s)
 			}
-			out[i] = v
+			v[i] = x
 		}
-		return out, nil
+		return nil
 	}
-	switch parts[0] {
+	switch name {
 	case "P":
-		v, err := nums(1)
-		if err != nil {
+		if err := nums(1); err != nil {
 			return nil, err
 		}
-		if !finite(v[0]) {
-			return nil, bad("non-finite point mass %v", v[0])
-		}
-		return dist.NewPointMass(v[0]), nil
+		return checked(dist.NewPointMass(v[0]))
 	case "U":
-		v, err := nums(2)
-		if err != nil {
+		if err := nums(2); err != nil {
 			return nil, err
 		}
 		if !finite(v[0]) || !finite(v[1]) || v[1] < v[0] {
 			return nil, bad("invalid uniform bounds [%v, %v]", v[0], v[1])
 		}
-		return checkMoments(dist.NewUniform(v[0], v[1]), tok)
+		return checked(dist.NewUniform(v[0], v[1]))
 	case "N":
-		v, err := nums(4)
-		if err != nil {
+		if err := nums(4); err != nil {
 			return nil, err
 		}
 		if !finite(v[0]) || !finite(v[1]) || v[1] < 0 {
 			return nil, bad("invalid normal location/scale (%v, %v)", v[0], v[1])
 		}
 		if v[2] == negInf && v[3] == posInf {
-			return checkMoments(dist.NewNormal(v[0], v[1]), tok)
+			return checked(dist.NewNormal(v[0], v[1]))
 		}
 		if !finite(v[2]) || !finite(v[3]) || v[3] <= v[2] || v[1] == 0 {
 			return nil, bad("invalid truncation [%v, %v] for sigma %v", v[2], v[3], v[1])
 		}
-		return checkMoments(dist.NewTruncNormal(v[0], v[1], v[2], v[3]), tok)
+		return checked(dist.NewTruncNormal(v[0], v[1], v[2], v[3]))
 	case "E":
-		if len(parts)-1 == 3 {
-			v, err := nums(3)
-			if err != nil {
-				return nil, err
-			}
-			if !finite(v[0]) || v[0] <= 0 || !finite(v[1]) {
-				return nil, bad("invalid exponential rate/shift (%v, %v)", v[0], v[1])
-			}
-			if v[2] == posInf {
-				return checkMoments(dist.NewExponential(v[0], v[1]), tok)
-			}
-			if !finite(v[2]) || v[2] <= 0 {
-				return nil, bad("invalid exponential window %v", v[2])
-			}
-			return checkMoments(dist.NewTruncExponential(v[0], v[1], v[2]), tok)
+		want := 2
+		if nparams == 3 {
+			want = 3
 		}
-		v, err := nums(2)
-		if err != nil {
+		if err := nums(want); err != nil {
 			return nil, err
 		}
 		if !finite(v[0]) || v[0] <= 0 || !finite(v[1]) {
 			return nil, bad("invalid exponential rate/shift (%v, %v)", v[0], v[1])
 		}
-		return checkMoments(dist.NewExponential(v[0], v[1]), tok)
+		if want == 2 || v[2] == posInf {
+			return checked(dist.NewExponential(v[0], v[1]))
+		}
+		if !finite(v[2]) || v[2] <= 0 {
+			return nil, bad("invalid exponential window %v", v[2])
+		}
+		return checked(dist.NewTruncExponential(v[0], v[1], v[2]))
 	case "D":
-		if (len(parts)-1)%2 != 0 || len(parts) == 1 {
+		if nparams%2 != 0 || nparams == 0 {
 			return nil, bad("discrete needs x:w pairs")
 		}
-		n := (len(parts) - 1) / 2
+		n := nparams / 2
 		xs := make([]float64, n)
 		ws := make([]float64, n)
 		var total float64
 		for i := 0; i < n; i++ {
-			x, err := strconv.ParseFloat(parts[1+2*i], 64)
+			var xf, wf string
+			xf, rest, _ = strings.Cut(rest, ":")
+			wf, rest, _ = strings.Cut(rest, ":")
+			x, err := strconv.ParseFloat(xf, 64)
 			if err != nil || !finite(x) {
-				return nil, bad("bad support point %q", parts[1+2*i])
+				return nil, bad("bad support point %q", xf)
 			}
-			w, err := strconv.ParseFloat(parts[2+2*i], 64)
+			w, err := strconv.ParseFloat(wf, 64)
 			if err != nil || !finite(w) || w < 0 {
-				return nil, bad("bad weight %q", parts[2+2*i])
+				return nil, bad("bad weight %q", wf)
 			}
 			xs[i], ws[i] = x, w
 			total += w
@@ -291,9 +303,9 @@ func decodeDist(tok string) (dist.Distribution, error) {
 		if total <= 0 || !finite(total) {
 			return nil, bad("discrete weights sum to %v", total)
 		}
-		return checkMoments(dist.NewDiscrete(xs, ws), tok)
+		return checked(dist.NewDiscrete(xs, ws))
 	default:
-		return nil, bad("unknown marginal family %q", parts[0])
+		return nil, bad("unknown marginal family %q", name)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -155,6 +156,7 @@ var marginalCases = []struct {
 	ok  bool
 }{
 	{"P:1.5", true},
+	{"P:1e200", false}, // µ₂ overflows: used to parse, then sit at +Inf distance from every prototype
 	{"U:-1:2", true},
 	{"U:-1e308:1e308", false}, // the width overflows: infinite variance
 	{"N:0:1:-inf:+inf", true},
@@ -166,6 +168,9 @@ var marginalCases = []struct {
 	{"N:0:1:40:41", false},      // beyond ~38σ: Z underflows to zero
 	{"E:2:-1:+inf", true},
 	{"E:2:1:3", true},
+	{"E:2:1", true},
+	{"E:1e-4:0:1", true}, // small λT: used to parse with σ² = 0.0832150 for 0.0833333
+	{"E:1e-9:0:1", true}, // used to be rejected as non-finite (closed-form σ² = −0.25)
 	{"D:1:0.2:2:0.3:3:0.5", true},
 	{"D:0:0.5:1:0.5", true},     // variance exactly at (hi-lo)²/4
 	{"D:3.3:0.5:7.7:0.5", true}, // two ulps above the bound by rounding
@@ -233,11 +238,44 @@ func TestCheckMomentsRejectsWrongMoments(t *testing.T) {
 		{u, 8.5, 4.16},  // the old N:0:1:8:9 variance, above 1/4
 		{u, 8.5, 0.26},
 	} {
-		if _, err := checkMoments(d, "fake"); !errors.Is(err, ErrMalformed) {
+		if err := checkMoments(d); !errors.Is(err, ErrMalformed) {
 			t.Errorf("mean %v variance %v: err %v, want ErrMalformed", d.mean, d.variance, err)
 		}
 	}
-	if _, err := checkMoments(fakeMoments{u, 9, 0.25}, "fake"); err != nil {
+	if err := checkMoments(fakeMoments{u, 9, 0.25}); err != nil {
 		t.Errorf("moments at the support edge and the bound rejected: %v", err)
+	}
+}
+
+// TestParseMarginalAllocs: the token scanner splits nothing and builds no
+// parameter slice, so a closed-form token costs one allocation, the
+// returned interface value.
+func TestParseMarginalAllocs(t *testing.T) {
+	for _, tok := range []string{
+		"P:1.5", "U:-1:2", "N:2:1.5:0:3", "N:0:1:8:9", "N:0:1:-inf:+inf",
+		"E:2:1:3", "E:2:-1:+inf", "E:2:1", "E:1e-9:0:1",
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ParseMarginal(tok); err != nil {
+				t.Fatalf("%s: %v", tok, err)
+			}
+		}); n > 1 {
+			t.Errorf("%s: %v allocations per parse, want at most 1", tok, n)
+		}
+	}
+}
+
+// TestCheckPoint: a point coordinate is accepted or rejected like its P:
+// token, with ErrMalformed.
+func TestCheckPoint(t *testing.T) {
+	for _, x := range []float64{0, -3.5, 1e150, 1e200, -1e200, math.MaxFloat64} {
+		tok := "P:" + strconv.FormatFloat(x, 'g', -1, 64)
+		err := CheckPoint(x)
+		if _, werr := ParseMarginal(tok); (err == nil) != (werr == nil) {
+			t.Errorf("%v: CheckPoint err %v, ParseMarginal(%q) err %v", x, err, tok, werr)
+		}
+		if err != nil && !errors.Is(err, ErrMalformed) {
+			t.Errorf("%v: untyped error %v", x, err)
+		}
 	}
 }

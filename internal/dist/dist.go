@@ -45,3 +45,16 @@ type Distribution interface {
 	// Quantile returns the p-quantile inf{x : CDF(x) ≥ p} for p ∈ [0, 1].
 	Quantile(p float64) float64
 }
+
+// Moments returns d's Mean, SecondMoment and Var. The truncated families,
+// whose three closed forms share costly terms, have a Moments method that
+// evaluates them once and returns the same bits as the three methods; any
+// other Distribution is asked for each in turn.
+func Moments(d Distribution) (mean, secondMoment, variance float64) {
+	if m, ok := d.(interface {
+		Moments() (float64, float64, float64)
+	}); ok {
+		return m.Moments()
+	}
+	return d.Mean(), d.SecondMoment(), d.Var()
+}

@@ -104,35 +104,76 @@ func NewTruncExponentialMass(mean, rate, mass float64) TruncExponential {
 // mass returns the captured probability M = 1 − e^{−Rate·T}.
 func (t TruncExponential) mass() float64 { return -math.Expm1(-t.Rate * t.T) }
 
-// meanY returns E[Y | Y ≤ T] for Y ~ Exp(Rate).
-func (t TruncExponential) meanY() float64 {
-	m := t.mass()
-	return 1/t.Rate - t.T*(1-m)/m
+// Moments returns the mean, raw second moment and variance of Shift + Y,
+// with Y ~ Exp(Rate) conditioned on Y ≤ T and M the captured mass:
+//
+//	E[Y]  = 1/λ − T·(1−M)/M
+//	E[Y²] = [2/λ² − (1−M)(T² + 2T/λ + 2/λ²)] / M
+//	Var   = E[Y²] − E[Y]²
+//
+// Below u = λT = 1 both forms cancel (at u = 1e-9 the variance comes out
+// negative). There the moments of X = Y/T are taken from their Bernoulli
+// series instead, E[X] = 1/2 − Σ c_n u^(2n−1) and Var[X] = Σ (2n−1) c_n
+// u^(2n−2) with c_n = B_2n/(2n)!; they converge for u < 2π, and ten terms
+// reach a few ulps at u = 1.
+func (t TruncExponential) Moments() (mean, secondMoment, variance float64) {
+	var my, m2y float64
+	if u := t.Rate * t.T; u < 1 {
+		w := u * u
+		my = t.T * (0.5 - u*horner(w, expMeanSeries[:]))
+		variance = t.T * t.T * horner(w, expVarSeries[:])
+		m2y = variance + my*my
+	} else {
+		l := t.Rate
+		m := t.mass()
+		my = 1/l - t.T*(1-m)/m
+		m2y = (2/(l*l) - (1-m)*(t.T*t.T+2*t.T/l+2/(l*l))) / m
+		variance = m2y - my*my
+	}
+	return t.Shift + my, t.Shift*t.Shift + 2*t.Shift*my + m2y, variance
 }
 
-// Mean returns Shift + E[Y | Y ≤ T].
-func (t TruncExponential) Mean() float64 { return t.Shift + t.meanY() }
+// expMeanSeries holds c_n = B_2n/(2n)! for n = 1…10, and expVarSeries
+// holds (2n−1)·c_n: the coefficients, in powers of u², of the small-u
+// series in TruncExponential.Moments.
+var (
+	expMeanSeries = [...]float64{
+		1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600, 1.0 / 47900160,
+		-691.0 / 1307674368000, 1.0 / 74724249600, -3617.0 / 10670622842880000,
+		43867.0 / 5109094217170944000, -174611.0 / 802857662698291200000,
+	}
+	expVarSeries = [...]float64{
+		1.0 / 12, -3.0 / 720, 5.0 / 30240, -7.0 / 1209600, 9.0 / 47900160,
+		-11 * 691.0 / 1307674368000, 13.0 / 74724249600, -15 * 3617.0 / 10670622842880000,
+		17 * 43867.0 / 5109094217170944000, -19 * 174611.0 / 802857662698291200000,
+	}
+)
+
+// horner evaluates Σ c[i]·w^i.
+func horner(w float64, c []float64) float64 {
+	var s float64
+	for i := len(c) - 1; i >= 0; i-- {
+		s = s*w + c[i]
+	}
+	return s
+}
+
+// Mean returns Shift + E[Y | Y ≤ T] (see Moments).
+func (t TruncExponential) Mean() float64 {
+	m, _, _ := t.Moments()
+	return m
+}
 
 // SecondMoment returns E[(Shift+Y)²] with Y the truncated exponential part.
 func (t TruncExponential) SecondMoment() float64 {
-	my := t.meanY()
-	m2 := t.secondMomentY()
-	return t.Shift*t.Shift + 2*t.Shift*my + m2
+	_, m2, _ := t.Moments()
+	return m2
 }
 
-// secondMomentY returns E[Y² | Y ≤ T]:
-//
-//	[2/λ² − e^{−λT}(T² + 2T/λ + 2/λ²)] / M
-func (t TruncExponential) secondMomentY() float64 {
-	l := t.Rate
-	m := t.mass()
-	return (2/(l*l) - (1-m)*(t.T*t.T+2*t.T/l+2/(l*l))) / m
-}
-
-// Var returns E[Y²|Y≤T] − E[Y|Y≤T]².
+// Var returns E[Y²|Y≤T] − E[Y|Y≤T]² (see Moments).
 func (t TruncExponential) Var() float64 {
-	my := t.meanY()
-	return t.secondMomentY() - my*my
+	_, _, v := t.Moments()
+	return v
 }
 
 // Support returns [Shift, Shift+T].

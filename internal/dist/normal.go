@@ -169,31 +169,42 @@ func (t TruncNormal) mirror() (TruncNormal, bool) {
 	return TruncNormal{Mu: -t.Mu, Sigma: t.Sigma, Lo: -t.Hi, Hi: -t.Lo}, alpha > 0
 }
 
-// Mean returns Mu + Sigma·(φ(α)−φ(β))/Z (the standard truncated-normal
-// closed form).
-func (t TruncNormal) Mean() float64 {
+// Moments returns the standard truncated-normal closed forms from one
+// evaluation of the bounds:
+//
+//	Mean = Mu + Sigma·(φ(α)−φ(β))/Z
+//	Var  = Sigma²·[1 + (αφ(α)−βφ(β))/Z − ((φ(α)−φ(β))/Z)²]
+//
+// and SecondMoment = Var + Mean².
+func (t TruncNormal) Moments() (mean, secondMoment, variance float64) {
 	if mt, upper := t.mirror(); upper {
-		return -mt.Mean()
-	}
-	alpha, beta, z := t.bounds()
-	return t.Mu + t.Sigma*(stdPDF(alpha)-stdPDF(beta))/z
-}
-
-// Var returns Sigma²·[1 + (αφ(α)−βφ(β))/Z − ((φ(α)−φ(β))/Z)²].
-func (t TruncNormal) Var() float64 {
-	if mt, upper := t.mirror(); upper {
-		return mt.Var()
+		mean, secondMoment, variance = mt.Moments()
+		return -mean, secondMoment, variance
 	}
 	alpha, beta, z := t.bounds()
 	pa, pb := stdPDF(alpha), stdPDF(beta)
+	mean = t.Mu + t.Sigma*(pa-pb)/z
 	d := (pa - pb) / z
-	return t.Sigma * t.Sigma * (1 + (alpha*pa-beta*pb)/z - d*d)
+	variance = t.Sigma * t.Sigma * (1 + (alpha*pa-beta*pb)/z - d*d)
+	return mean, variance + mean*mean, variance
+}
+
+// Mean returns the truncated mean (see Moments).
+func (t TruncNormal) Mean() float64 {
+	m, _, _ := t.Moments()
+	return m
+}
+
+// Var returns the truncated variance (see Moments).
+func (t TruncNormal) Var() float64 {
+	_, _, v := t.Moments()
+	return v
 }
 
 // SecondMoment returns Var + Mean².
 func (t TruncNormal) SecondMoment() float64 {
-	m := t.Mean()
-	return t.Var() + m*m
+	_, m2, _ := t.Moments()
+	return m2
 }
 
 // Support returns [Lo, Hi].

@@ -60,8 +60,9 @@ var (
 // objectsPayload is the JSON object container shared by the observe, fit,
 // assign, and refresh endpoints. Objects carry full marginal distributions
 // as ucsv tokens (the hardened datasets parser decodes them); points are
-// plain vectors turned into deterministic objects. Both may appear in one
-// payload; objects come first in the resulting dataset order.
+// plain vectors turned into deterministic objects, each coordinate checked
+// like a "P:x" token. Both may appear in one payload; objects come first in
+// the resulting dataset order.
 type objectsPayload struct {
 	Objects []objectJSON `json:"objects,omitempty"`
 	Points  [][]float64  `json:"points,omitempty"`
@@ -107,8 +108,8 @@ func (p *objectsPayload) dataset() (ucpc.Dataset, error) {
 			return nil, fmt.Errorf("serve: point %d is empty: %w", i, errBadRequest)
 		}
 		for j, v := range x {
-			if v != v || v > 1e308 || v < -1e308 {
-				return nil, fmt.Errorf("serve: point %d dim %d is not finite: %w", i, j, errBadRequest)
+			if err := datasets.CheckPoint(v); err != nil {
+				return nil, fmt.Errorf("serve: point %d dim %d: %w", i, j, err)
 			}
 		}
 		o := ucpc.NewPointObject(len(ds), x)

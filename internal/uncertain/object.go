@@ -67,9 +67,7 @@ func NewObject(id int, marginals []dist.Distribution) *Object {
 	lo := make(vec.Vector, m)
 	hi := make(vec.Vector, m)
 	for j, d := range marginals {
-		o.mu[j] = d.Mean()
-		o.mu2[j] = d.SecondMoment()
-		o.sigma2[j] = d.Var()
+		o.mu[j], o.mu2[j], o.sigma2[j] = dist.Moments(d)
 		o.totalVar += o.sigma2[j]
 		lo[j], hi[j] = d.Support()
 	}
