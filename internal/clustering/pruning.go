@@ -1,8 +1,9 @@
 package clustering
 
 // PruneMode selects whether an algorithm's assignment loops use the exact
-// bound-based pruning engine (internal/core's Assigner, the RelocEngine's
-// candidate bounds, and internal/ukmedoids' closed-form medoid filter).
+// bound-based pruning engine (internal/core's Hamerly-bounded Assigner, the
+// RelocEngine's settled-object filter, and internal/ukmedoids' closed-form
+// medoid filter).
 //
 // Pruning is *exact*: every skip is justified by a proven lower bound on the
 // candidate's distance (or objective delta), so for a fixed seed the

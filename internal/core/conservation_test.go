@@ -14,8 +14,8 @@ import (
 //
 //	pruned + scanned == n·k·Passes()
 //
-// regardless of the bound regime (the full-scan first pass, Elkan full
-// bounds, the Hamerly fallback, the bound-free exhaustive reference).
+// regardless of the bound regime (the full-scan first pass, the Hamerly
+// bounds, the bound-free exhaustive reference).
 // Whole-object skips must credit every pair they cover for the identity to
 // hold.
 func TestAssignerCounterConservation(t *testing.T) {
@@ -26,18 +26,13 @@ func TestAssignerCounterConservation(t *testing.T) {
 	cases := []struct {
 		name    string
 		enabled bool
-		hamerly bool // force the shared-lower-bound fallback regime
 	}{
-		{"exhaustive", false, false},
-		{"elkan-direct", true, false},
-		{"hamerly-direct", true, true},
+		{"exhaustive", false},
+		{"hamerly-direct", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewAssigner(mom, k, tc.enabled)
-			if tc.hamerly {
-				a.full = false
-			}
 			r := rng.New(17)
 			centers := make([]float64, k*m)
 			for c := 0; c < k; c++ {

@@ -67,7 +67,7 @@ func TestLloydPinnedReports(t *testing.T) {
 		pruned, scanned int64
 		events          []pinnedEvent
 	}{
-		"ukm/cold": {0x128b5f5ab519d296, 8, true, 0x409e28235b7c1a5c, 3624, 1496, []pinnedEvent{
+		"ukm/cold": {0x128b5f5ab519d296, 8, true, 0x409e28235b7c1a5c, 3197, 1923, []pinnedEvent{
 			{1, 160, 0x40a46620b1dd2eb2}, {2, 26, 0x40a0a00518f59239}, {3, 15, 0x409f5743abb0e9fe},
 			{4, 7, 0x409ea23298867991}, {5, 5, 0x409e6a7e42354547}, {6, 3, 0x409e3d375375c34d},
 			{7, 2, 0x409e2d0ec3b30770}, {8, 0, 0x409e28235b7c1a5c}}},
@@ -77,7 +77,7 @@ func TestLloydPinnedReports(t *testing.T) {
 			{1, 160, 0x40a46620b1dd2eb2}}},
 		"ukm/empty-cluster": {0x614cf245a0aa95a5, 2, true, 0x3f2a36e2eb1c4241, 0, 120, []pinnedEvent{
 			{1, 12, 0x3f2a36e2eb1c4241}, {2, 0, 0x3f2a36e2eb1c4241}}},
-		"ucpc-lloyd/cold": {0x3672681f4b9b1c9e, 9, true, 0x409db8778a43d2b7, 3611, 2149, []pinnedEvent{
+		"ucpc-lloyd/cold": {0x3672681f4b9b1c9e, 9, true, 0x409db8778a43d2b7, 3065, 2695, []pinnedEvent{
 			{1, 100, 0x40a20758642551a1}, {2, 17, 0x40a0db50cff46adc}, {3, 16, 0x40a034a2354f35da},
 			{4, 8, 0x409f5c88970825fd}, {5, 10, 0x409eb9014bdf06a9}, {6, 7, 0x409e34668b67abb5},
 			{7, 6, 0x409de2dac95bc1f2}, {8, 3, 0x409db8778a43d2b7}, {9, 0, 0x409db8778a43d2b7}}},

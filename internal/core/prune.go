@@ -11,8 +11,7 @@ import (
 
 // This file implements the exact bound-based pruning engine for the
 // nearest-centroid assignment hot loops (the relocation-sweep counterpart —
-// O(1) bound tests on stale dot-cache entries — lives in the RelocEngine of
-// reloc.go):
+// the settled-object filter — lives in the RelocEngine of reloc.go):
 //
 //   - Assigner runs every nearest-centroid assignment step (UK-means,
 //     UCPC-Lloyd, the UCPC k-means++ initial assignment, serving, the
@@ -23,26 +22,15 @@ import (
 //     over centroids c, where y_c is a point and v_c an additive
 //     per-centroid variance term (Lemma 3 / eq. 8 decompose ÊD and ED this
 //     way). Because the µ-part is a genuine Euclidean distance, triangle-
-//     inequality bounds on ‖µ(o) − y_c‖ remain *exact*. Two bound regimes
-//     are layered on that observation:
+//     inequality bounds on ‖µ(o) − y_c‖ remain *exact*. One Hamerly-style
+//     regime is layered on that observation: per-object upper/lower
+//     bounds, the lower bound shared across all non-assigned centroids and
+//     relaxed by the maximum drift, combined with the global half-gap test
+//     and the moving inter-centroid filter. It needs only O(n) state.
 //
-//     Elkan mode (the default; requires an n×k bound table within
-//     elkanPairsMax entries): one upper bound per object plus one lower
-//     bound per (object, centroid) pair, each relaxed by that centroid's
-//     cumulative drift, combined with the Hamerly global half-gap test and
-//     the moving inter-centroid filter. Per-pair bounds survive centroid
-//     moves individually, so a centroid that drifted far cannot wipe out
-//     the bounds against the k−1 centroids that barely moved — which is
-//     precisely what the previous single-lower-bound filter did, and why
-//     it pruned ~1% on algorithms whose centroids jump early.
-//
-//     Hamerly fallback (tables larger than elkanPairsMax): the previous
-//     scheme — per-object upper/lower bounds with the lower bound shared
-//     across all non-assigned centroids, relaxed by the maximum drift.
-//
-//     Both regimes are seeded by a first pass that scans every centroid
-//     for every object, since no bounds exist yet. Callers that assign
-//     once and never come back (serving, the stream's per-batch step, the
+//     The bounds are seeded by a first pass that scans every centroid for
+//     every object, since no bounds exist yet. Callers that assign once
+//     and never come back (serving, the stream's per-batch step, the
 //     k-means++ initial assignment) build a disabled Assigner instead:
 //     bounds only pay off when a later pass reuses them.
 //
@@ -62,19 +50,11 @@ import (
 // pruned + scanned == n·k·passes on every code path. Whole-object bound
 // skips credit every pair they cover.
 
-const (
-	// pruneSlack is the relative safety margin applied to every bound
-	// comparison. It is ~10⁷ coarser than double rounding error and ~10⁹
-	// finer than any distance contrast that matters, so it costs
-	// essentially no pruning while making skips robust to the bound
-	// arithmetic's own rounding.
-	pruneSlack = 1e-9
-	// elkanPairsMax caps the per-(object, centroid) lower-bound table at
-	// 512 MiB of float64 (mirroring the relocation engine's dot-cache
-	// budget). Larger problems fall back to the shared-lower-bound Hamerly
-	// pass, which needs only O(n) state.
-	elkanPairsMax = 1 << 26
-)
+// pruneSlack is the relative safety margin applied to every bound
+// comparison. It is ~10⁷ coarser than double rounding error and ~10⁹ finer
+// than any distance contrast that matters, so it costs essentially no
+// pruning while making skips robust to the bound arithmetic's own rounding.
+const pruneSlack = 1e-9
 
 // Assigner performs exact pruned nearest-centroid assignment over a flat
 // moment store for distances D(o,c) = ‖µ(o) − y_c‖² + v_c.
@@ -109,15 +89,6 @@ type Assigner struct {
 	upper, lower []float64 // n, per-object Euclidean bounds
 	ready        bool      // bounds initialized by a first pass
 
-	// Elkan state: lb[i*k+c] stores a lower bound on ‖µ(o_i) − y_c‖ in
-	// "absolute decay" form — the bound plus driftTot[c] at write time, so
-	// the current bound is lb[i*k+c] − driftTot[c] with no per-entry
-	// timestamps. driftTot[c] is centroid c's cumulative drift since
-	// construction.
-	full     bool // per-pair bound table in use (n*k within elkanPairsMax)
-	lb       []float64
-	driftTot []float64
-
 	passes          int
 	pruned, scanned int64
 
@@ -131,7 +102,6 @@ type Assigner struct {
 	exhaustBody func(lo, hi int) bool
 	firstBody   func(lo, hi int) bool
 	boundedBody func(lo, hi int) bool
-	elkanBody   func(lo, hi int) bool
 }
 
 // NewAssigner builds an assignment engine for k centroids over mom. When
@@ -152,20 +122,14 @@ func NewAssigner(mom *uncertain.Moments, k int, enabled bool) *Assigner {
 		a.drift = make([]float64, k)
 		a.half = make([]float64, k)
 		a.cdist = make([]float64, k*k)
-		a.driftTot = make([]float64, k)
 		a.upper = make([]float64, n)
 		a.lower = make([]float64, n)
-		a.full = k > 0 && n <= elkanPairsMax/k
-		if a.full {
-			a.lb = make([]float64, n*k)
-		}
 	}
 	// Bind the chunk bodies once; each bind allocates a method value here
 	// so that no Assign call allocates later.
 	a.exhaustBody = a.exhaustChunk
 	a.firstBody = a.firstChunk
 	a.boundedBody = a.boundedChunk
-	a.elkanBody = a.elkanChunk
 	return a
 }
 
@@ -199,8 +163,7 @@ func (a *Assigner) setCenters(fill func(dst []float64), add []float64) {
 		return
 	}
 	// Per-centroid drift since the previous positions (upper bounds grow by
-	// the own centroid's drift, per-pair lower bounds shrink by that
-	// centroid's cumulative drift, the shared fallback lower bound by the
+	// the own centroid's drift, the shared lower bound shrinks by the
 	// largest drift).
 	a.maxDrift = 0
 	for c := 0; c < a.k; c++ {
@@ -212,7 +175,6 @@ func (a *Assigner) setCenters(fill func(dst []float64), add []float64) {
 		if d > a.maxDrift {
 			a.maxDrift = d
 		}
-		a.driftTot[c] += d
 	}
 	a.hasPrev = true
 	// Inter-centroid distances and half-gaps (O(k²m); k ≪ n).
@@ -259,7 +221,7 @@ func centerDist2(x []float64, c, o, m int) float64 {
 }
 
 // dist2 returns ‖µ(o_i) − y_c‖². All decision paths — exhaustive, first
-// pass, Hamerly, Elkan — funnel through the same blocked kernel, so its
+// pass, bounded — funnel through the same blocked kernel, so its
 // reassociated rounding is identical everywhere and cannot break the
 // byte-identity between pruned and unpruned runs.
 func (a *Assigner) dist2(i, c int) float64 {
@@ -268,8 +230,7 @@ func (a *Assigner) dist2(i, c int) float64 {
 
 // Invalidate discards object i's bounds after an external reassignment
 // (e.g. an empty-cluster reseed moved the object), forcing the next pass to
-// evaluate it from scratch. The per-pair Elkan bounds stay: they bound
-// ‖µ(o_i) − y_c‖ regardless of which cluster the object sits in.
+// evaluate it from scratch.
 func (a *Assigner) Invalidate(i int) {
 	if a.enabled && a.ready {
 		a.upper[i] = math.Inf(1)
@@ -301,8 +262,6 @@ func (a *Assigner) Assign(assign []int, workers int) bool {
 	case !a.ready:
 		changed = clustering.ParallelAny(a.mom.Len(), workers, a.firstBody)
 		a.ready = true
-	case a.full:
-		changed = clustering.ParallelAny(a.mom.Len(), workers, a.elkanBody)
 	default:
 		changed = clustering.ParallelAny(a.mom.Len(), workers, a.boundedBody)
 	}
@@ -359,22 +318,17 @@ func (a *Assigner) exhaustChunk(lo, hi int) bool {
 
 // firstChunk seeds the per-object bounds with a full scan: every centroid
 // is evaluated exactly and the lowest-index argmin wins, as in the
-// exhaustive first pass. The exact distances become the upper bound, the
-// shared lower bound (the nearest other centroid) and, in Elkan mode, the
-// object's whole lb row.
+// exhaustive first pass. The exact distances become the upper bound and
+// the shared lower bound (the nearest other centroid).
 func (a *Assigner) firstChunk(lo, hi int) bool {
 	assign := a.curAssign
-	k, m := a.k, a.m
+	k := a.k
 	ch := false
 	for i := lo; i < hi; i++ {
-		mu := a.mom.Mu(i)
 		best, bestD, bestR, lower := 0, 0.0, math.Inf(1), math.Inf(1)
 		for c := 0; c < k; c++ {
-			r2 := vec.SqDistBlock(mu, a.centers[c*m:(c+1)*m])
+			r2 := a.dist2(i, c)
 			r := math.Sqrt(r2)
-			if a.full {
-				a.lb[i*k+c] = r + a.driftTot[c]
-			}
 			if d := r2 + a.add[c]; c == 0 || d < bestD {
 				if bestR < lower {
 					lower = bestR
@@ -395,111 +349,8 @@ func (a *Assigner) firstChunk(lo, hi int) bool {
 	return ch
 }
 
-// elkanChunk is the steady-state full-bound pass: per-object upper bound,
-// per-(object, centroid) lower bounds decayed by each centroid's own
-// cumulative drift, the Hamerly global half-gap test for whole-object
-// skips, and the moving inter-centroid filter. Every exact evaluation
-// refreshes the corresponding lb entry, so bounds tighten as a side effect
-// of the scans the bounds failed to prevent.
-func (a *Assigner) elkanChunk(lo, hi int) bool {
-	assign := a.curAssign
-	k, m := a.k, a.m
-	ch := false
-	var pruned, scanned int64
-	for i := lo; i < hi; i++ {
-		cur := assign[i]
-		u := a.upper[i] + a.drift[cur]
-		l := a.lower[i] - a.maxDrift
-		if l < 0 {
-			l = 0
-		}
-		a.upper[i], a.lower[i] = u, l
-		va := a.add[cur]
-		vOther := a.addMin
-		if cur == a.addMinIdx {
-			vOther = a.addMin2
-		}
-		// Whole-object skip from the cached upper bound: z lower-bounds
-		// every other centroid's Euclidean distance via the relaxed shared
-		// lower bound or the half-gap bound r_c ≥ 2·half[cur] − r_cur.
-		z := l
-		if hg := 2*a.half[cur] - u; hg > z {
-			z = hg
-		}
-		da := u*u + va
-		do := z*z + vOther
-		if da+pruneSlack*(math.Abs(da)+math.Abs(do)+1) <= do {
-			pruned += int64(k)
-			continue
-		}
-		// Tighten the upper bound to the exact distance (refreshing the
-		// assigned centroid's own lb entry) and re-test.
-		base := i * k
-		mu := a.mom.Mu(i)
-		ra := math.Sqrt(vec.SqDistBlock(mu, a.centers[cur*m:(cur+1)*m]))
-		u = ra
-		a.upper[i] = u
-		a.lb[base+cur] = ra + a.driftTot[cur]
-		scanned++
-		if hg := 2*a.half[cur] - u; hg > z {
-			z = hg
-		}
-		da = u*u + va
-		do = z*z + vOther
-		if da+pruneSlack*(math.Abs(da)+math.Abs(do)+1) <= do {
-			pruned += int64(k - 1)
-			continue
-		}
-		// Per-candidate Elkan pass (sticky rule: strict improvement only).
-		// Each candidate's lower bound is the better of its decayed lb
-		// entry and the moving inter-centroid bound cdist(best, c) − r_best.
-		best, bestD, bestR := cur, u*u+va, u
-		minOther := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == cur {
-				continue
-			}
-			lbc := a.lb[base+c] - a.driftTot[c]
-			if hg := a.cdist[best*k+c] - bestR; hg > lbc {
-				lbc = hg
-			}
-			if lbc > 0 {
-				if d := lbc*lbc + a.add[c]; d-pruneSlack*(math.Abs(d)+math.Abs(bestD)+1) >= bestD {
-					if lbc < minOther {
-						minOther = lbc
-					}
-					pruned++
-					continue
-				}
-			}
-			scanned++
-			r2 := vec.SqDistBlock(mu, a.centers[c*m:(c+1)*m])
-			r := math.Sqrt(r2)
-			a.lb[base+c] = r + a.driftTot[c]
-			if d := r2 + a.add[c]; d < bestD {
-				if bestR < minOther {
-					minOther = bestR
-				}
-				best, bestD, bestR = c, d, r
-			} else if r < minOther {
-				minOther = r
-			}
-		}
-		a.upper[i] = bestR
-		a.lower[i] = minOther
-		if assign[i] != best {
-			assign[i] = best
-			ch = true
-		}
-	}
-	atomic.AddInt64(&a.pruned, pruned)
-	atomic.AddInt64(&a.scanned, scanned)
-	return ch
-}
-
-// boundedChunk is the Hamerly-style fallback for problems whose n×k bound
-// table would exceed elkanPairsMax: relax the stored per-object bounds by
-// the centroid drift, skip objects whose assigned centroid provably still
+// boundedChunk is the steady-state Hamerly-style pass: relax the stored
+// per-object bounds by the centroid drift, skip objects whose assigned centroid provably still
 // wins, and fall back to a filtered exhaustive scan otherwise.
 func (a *Assigner) boundedChunk(lo, hi int) bool {
 	assign := a.curAssign

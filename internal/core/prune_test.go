@@ -202,7 +202,7 @@ func TestRelocBoundHolds(t *testing.T) {
 				} else {
 					rowForm = stats[c].JMMIfAddRow(mu, mu2) - stats[c].JMM()
 				}
-				scalarForm := e.addScore(c, sigma2o, m2t, mun2, e.dot(i, c)) - e.jCache[c]
+				scalarForm := e.addScore(c, sigma2o, m2t, mun2, vec.DotBlock(mu, stats[c].sum)) - e.jCache[c]
 				d := mom.MuNorm(i) - e.cNorm[c]
 				glb := e.alpha[c] + e.beta[c]*sigma2o + e.gamma[c]*(d*d)
 				for _, exact := range []float64{rowForm, scalarForm} {
@@ -219,11 +219,10 @@ func TestRelocBoundHolds(t *testing.T) {
 	}
 }
 
-// TestFirstPassBounds: one enabled Assign from −1, in the Elkan regime and
-// in the forced Hamerly regime, leaves bounds that hold against the exact
-// distances and a partition identical to the exhaustive engine's. The
-// centers are installed twice first so the cumulative drifts the Elkan
-// entries carry are non-zero.
+// TestFirstPassBounds: one enabled Assign from −1 leaves bounds that hold
+// against the exact distances and a partition identical to the exhaustive
+// engine's. The centers are installed twice first so the first pass runs
+// after a non-zero drift.
 func TestFirstPassBounds(t *testing.T) {
 	k, m := 5, 3
 	mom := pruneTestMoments(51, k, 40, m)
@@ -247,40 +246,29 @@ func TestFirstPassBounds(t *testing.T) {
 	exhaust.SetCenters(centers, adds)
 	exhaust.Assign(want, 1)
 
-	for _, full := range []bool{true, false} {
-		a := NewAssigner(mom, k, true)
-		a.full = full
-		a.SetCenters(first, adds)
-		a.SetCenters(centers, adds)
-		got := make([]int, n)
-		for i := range got {
-			got[i] = -1
+	a := NewAssigner(mom, k, true)
+	a.SetCenters(first, adds)
+	a.SetCenters(centers, adds)
+	got := make([]int, n)
+	for i := range got {
+		got[i] = -1
+	}
+	a.Assign(got, 3)
+	if pruned, scanned := a.Counters(); pruned != 0 || scanned != int64(n*k) {
+		t.Errorf("counters (%d, %d), want (0, %d)", pruned, scanned, n*k)
+	}
+	for i := 0; i < n; i++ {
+		if got[i] != want[i] {
+			t.Fatalf("object %d: first pass %d vs exhaustive %d", i, got[i], want[i])
 		}
-		a.Assign(got, 3)
-		if pruned, scanned := a.Counters(); pruned != 0 || scanned != int64(n*k) {
-			t.Errorf("full=%v: counters (%d, %d), want (0, %d)", full, pruned, scanned, n*k)
-		}
-		for i := 0; i < n; i++ {
-			if got[i] != want[i] {
-				t.Fatalf("full=%v object %d: first pass %d vs exhaustive %d", full, i, got[i], want[i])
-			}
-			for c := 0; c < k; c++ {
-				exact := math.Sqrt(vec.SqDistBlock(mom.Mu(i), centers[c*m:(c+1)*m]))
-				if c == got[i] {
-					if a.upper[i] != exact {
-						t.Fatalf("full=%v object %d: upper %v, exact %v", full, i, a.upper[i], exact)
-					}
-				} else if a.lower[i] > exact {
-					t.Fatalf("full=%v object %d: lower %v exceeds centroid %d's %v", full, i, a.lower[i], c, exact)
+		for c := 0; c < k; c++ {
+			exact := math.Sqrt(vec.SqDistBlock(mom.Mu(i), centers[c*m:(c+1)*m]))
+			if c == got[i] {
+				if a.upper[i] != exact {
+					t.Fatalf("object %d: upper %v, exact %v", i, a.upper[i], exact)
 				}
-				if !full {
-					continue
-				}
-				// lb stores bound + cumulative drift; subtracting the drift
-				// back may round up by an ulp of the drift.
-				if lb := a.lb[i*k+c] - a.driftTot[c]; lb > exact+1e-12*(a.driftTot[c]+exact+1) {
-					t.Fatalf("object %d centroid %d: lb %v exceeds exact %v", i, c, lb, exact)
-				}
+			} else if a.lower[i] > exact {
+				t.Fatalf("object %d: lower %v exceeds centroid %d's %v", i, a.lower[i], c, exact)
 			}
 		}
 	}

@@ -30,21 +30,18 @@ import (
 // per-cluster scalar maintained by the engine — so scoring a candidate
 // cluster costs O(1) once µ(o)·S is known.
 //
-// The dot products are cached in an n×k table stamped with per-cluster
-// version counters: a cluster's version bumps whenever a relocation changes
-// its statistics, and a cached dot is valid exactly when its stamp matches
-// the cluster's current version. A candidate evaluation is therefore O(1)
-// when the cluster is unchanged since the object's last scan and O(m) (one
-// dot product) only on version mismatch. As the local search converges,
-// moves — and hence invalidations — become rare, and whole passes run at
-// O(n·k) instead of O(n·k·m).
+// A scanned object gets all k dots from one vec.DotRows sweep over sumFlat,
+// a packed row-major k×m copy of the cluster sum vectors kept in sync by
+// every refresh. The matrix is L1-resident at bench scale (k=16, m=42:
+// 5.4 KB) and its rows are walked sequentially instead of pointer-chasing
+// k per-cluster slices.
 //
 // The engine maintains the global objective Σ_C J(C) by applying each
 // accepted move's delta instead of re-summing per pass; tests bound the
 // drift of this running value against a from-scratch recomputation at 1e-9
 // relative after every pass.
 //
-// All scratch (scalar snapshots, the dot table, the bound tables) is
+// All scratch (scalar snapshots, the dot row, the bound tables) is
 // allocated once in NewRelocEngine; Pass performs no heap allocations, so
 // steady-state sweeps are allocation-free (gated by the bench harness).
 
@@ -58,11 +55,11 @@ const (
 	RelocMMVar
 )
 
-// relocDotCacheMax caps the dot cache at 1<<26 object×cluster entries
-// (768 MB of dots + stamps). Above it the engine degrades to computing
-// dots on demand rather than changing the process's memory footprint
-// class; the partition is identical either way.
-const relocDotCacheMax = 1 << 26
+// settledPairsMax caps the settled filter's per-(object, cluster) tables
+// at 1<<26 entries (768 MB of bounds + stamps). Above it the filter is off
+// and every object is scanned, rather than changing the process's memory
+// footprint class; the partition is identical either way.
+const settledPairsMax = 1 << 26
 
 // pruneSlackRel is pruneSlack rescaled for the threshold form of the
 // settled test: for cand ≥ 0 (the only regime where a skip can happen),
@@ -72,44 +69,33 @@ const pruneSlackRel = pruneSlack / (1 - pruneSlack)
 // RelocEngine runs the sequential relocation sweeps of UCPC and MMVar over
 // a flat moment store with incremental O(1) candidate scoring.
 //
-// With pruning enabled, two layers keep the sweep off the O(n·k·m) path:
-//
-//   - Settled-object filter (full Elkan-style bounds): every candidate
-//     delta decomposes exactly as deltaRemove + α_c + β_c·σ²(o) + γ_c·r²
-//     with r = ‖µ(o) − mean_c‖ (König–Huygens on the Corollary-1 scores).
-//     After a scan that finds no improving move, the engine stores a lower
-//     bound on r for every candidate (free: the scan's dots give the true
-//     distances) and an upper bound on the object's distance to its own
-//     mean. Each bound decays by exactly the cumulative mean movement of
-//     its OWN cluster (triangle inequality, tracked by driftTot in
-//     absolute-decay form — no per-pair timestamps). A later pass then
-//     re-proves "no candidate improves" in O(k) dot-free scalar work
-//     against the CURRENT per-cluster constants: only objects near a
-//     cluster boundary, or whose nearby clusters actually moved, pay for a
-//     rescan. In the convergent tail almost every object is settled, so a
-//     pass costs O(n·k) cheap scalar tests instead of O(n·k·m).
-//
-//   - Blocked flat row kernel: a rescanned object's stale dot products are
-//     recomputed against a packed k×m matrix of the cluster sum vectors
-//     (sumFlat) — one vec.DotRows sweep when the whole row is stale, else
-//     targeted DotBlock calls against the same matrix. The matrix is
-//     L1-resident at bench scale (k=16, m=42: 5.4 KB) and its rows are
-//     walked sequentially instead of pointer-chasing k per-cluster slices.
+// With pruning enabled, a settled-object filter keeps the sweep off the
+// O(n·k·m) path. Every candidate delta decomposes exactly as
+// deltaRemove + α_c + β_c·σ²(o) + γ_c·r² with r = ‖µ(o) − mean_c‖
+// (König–Huygens on the Corollary-1 scores). After a scan that finds no
+// improving move, the engine stores a lower bound on r for every
+// candidate (free: the scan's dots give the true distances) and an upper
+// bound on the object's distance to its own mean. Each bound decays by
+// exactly the cumulative mean movement of its OWN cluster (triangle
+// inequality, tracked by driftTot in absolute-decay form — no per-pair
+// timestamps). A later pass then re-proves "no candidate improves" in O(k)
+// dot-free scalar work against the CURRENT per-cluster constants: only
+// objects near a cluster boundary, or whose nearby clusters actually
+// moved, pay for a rescan. In the convergent tail almost every object is
+// settled, so a pass costs O(n·k) cheap scalar tests instead of O(n·k·m).
 //
 // Per-candidate score bounds interleaved with the scan itself were
 // measured out of this engine: at m ≈ 42 an O(1) bound test costs about
 // half of one dot product, so even a high hit rate returns at most tens of
 // percent — the pruning dead zone. The settled filter sidesteps it by
-// skipping whole objects (dots, scoring, and the removeScore at once), and
-// the flat kernel makes the scans that do happen cheaper.
+// skipping whole objects (dots, scoring, and the removeScore at once).
 //
-// vec.DotRows computes each row with the same DotBlock kernel the
-// exhaustive path uses, so batched and per-candidate dots agree
-// bit-for-bit, and the settled filter only disables work whose outcome is
-// already decided: a skip proves (with slack absorbing the bound
-// arithmetic's rounding) that the exhaustive sweep would keep the object
-// in place too. Pruned and unpruned runs therefore produce byte-identical
-// partitions.
+// vec.DotRows computes each row with the same DotBlock kernel the filter's
+// escalation uses, so every dot of an object has the same bits on every
+// path, and the settled filter only disables work whose outcome is already
+// decided: a skip proves (with slack absorbing the bound arithmetic's
+// rounding) that the exhaustive sweep would keep the object in place too.
+// Pruned and unpruned runs therefore produce byte-identical partitions.
 //
 // A RelocEngine drives a single sequential sweep; it is not safe for
 // concurrent use.
@@ -118,6 +104,8 @@ type RelocEngine struct {
 	mom     *uncertain.Moments
 	stats   []*Stats
 	n, m, k int
+	// pruning is true when the settled filter runs: requested by the
+	// caller and n·k within settledPairsMax.
 	pruning bool
 
 	// Per-cluster scalar snapshot, recomputed in O(m) by refresh for the
@@ -127,6 +115,12 @@ type RelocEngine struct {
 	phiTot []float64 // Φ
 	sumSq  []float64 // ‖S‖²
 	jCache []float64 // J (RelocUCPC) resp. J_MM (RelocMMVar)
+
+	// sumFlat packs the k cluster sum vectors into one row-major k×m
+	// matrix (kept in sync by refresh) so an object's dot row is one
+	// vec.DotRows sweep into rowScratch.
+	sumFlat    []float64 // k*m
+	rowScratch []float64 // k
 
 	// Add-score decomposition constants (candidate delta = deltaRemove +
 	// α_c + β_c·σ²(o) + γ_c·r², with r = ‖µ(o) − mean_c‖), refreshed
@@ -171,7 +165,7 @@ type RelocEngine struct {
 	// how the clusters change, because the filter re-evaluates them
 	// against the current constants every pass.
 	settled []bool
-	lbR     []float64 // n*k, nil when the dot cache is size-capped away
+	lbR     []float64 // n*k
 	rCo     []float64 // n
 	drCo    []float64 // n
 	// chkVer[i*k+c] stamps the cluster version under which candidate c's
@@ -188,23 +182,6 @@ type RelocEngine struct {
 	meanPrev []float64 // k*m, cluster means at the last refresh
 	driftTot []float64 // k, cumulative mean path length
 	built    bool      // construction refreshes must not count as drift
-
-	// Dot-product cache: dots[i*k+c] = µ(o_i)·S_c, valid iff
-	// dotVer[i*k+c] == ver[c]. cached is false when n·k exceeds
-	// relocDotCacheMax — then every dot is computed on demand (the PR3
-	// cost profile, O(n+k) scratch) instead of growing the footprint to
-	// O(n·k). A fresh and a cached dot have identical bits, so the two
-	// modes produce identical partitions.
-	cached bool
-	dots   []float64
-	dotVer []uint32
-
-	// Flat row-kernel scratch (pruning only): sumFlat packs the k cluster
-	// sum vectors into one row-major k×m matrix (kept in sync by refresh)
-	// so a stale dot row is refreshed with a single vec.DotRows sweep;
-	// rowScratch receives the row when the dot table is size-capped away.
-	sumFlat    []float64 // k*m
-	rowScratch []float64 // k
 
 	totalJ float64 // Σ_C J(C), maintained by applied move deltas
 
@@ -223,53 +200,42 @@ type RelocEngine struct {
 func NewRelocEngine(kind RelocKind, mom *uncertain.Moments, stats []*Stats, pruning bool) *RelocEngine {
 	n, m, k := mom.Len(), mom.Dims(), len(stats)
 	e := &RelocEngine{
-		kind:    kind,
-		mom:     mom,
-		stats:   stats,
-		n:       n,
-		m:       m,
-		k:       k,
-		pruning: pruning,
-		ver:     make([]uint32, k),
-		psiTot:  make([]float64, k),
-		phiTot:  make([]float64, k),
-		sumSq:   make([]float64, k),
-		jCache:  make([]float64, k),
-		cNorm:   make([]float64, k),
-		invSize: make([]float64, k),
-		alpha:   make([]float64, k),
-		beta:    make([]float64, k),
-		gamma:   make([]float64, k),
-		jMag:    make([]float64, k),
-		cached:  n <= relocDotCacheMax/k,
+		kind:       kind,
+		mom:        mom,
+		stats:      stats,
+		n:          n,
+		m:          m,
+		k:          k,
+		pruning:    pruning && n <= settledPairsMax/k,
+		ver:        make([]uint32, k),
+		psiTot:     make([]float64, k),
+		phiTot:     make([]float64, k),
+		sumSq:      make([]float64, k),
+		jCache:     make([]float64, k),
+		sumFlat:    make([]float64, k*m),
+		rowScratch: make([]float64, k),
+		cNorm:      make([]float64, k),
+		invSize:    make([]float64, k),
+		alpha:      make([]float64, k),
+		beta:       make([]float64, k),
+		gamma:      make([]float64, k),
+		jMag:       make([]float64, k),
 	}
-	// The O(n·k) tables come out of one float64 and one uint32 slab each:
-	// a single zeroed allocation faults fewer fresh pages than four, and
-	// construction is on the measured online path of every Cluster call.
-	if e.cached {
-		if pruning {
-			f := make([]float64, 2*n*k)
-			e.dots, e.lbR = f[:n*k:n*k], f[n*k:]
-			u := make([]uint32, 2*n*k)
-			e.dotVer, e.chkVer = u[:n*k:n*k], u[n*k:]
-		} else {
-			e.dots = make([]float64, n*k)
-			e.dotVer = make([]uint32, n*k)
-		}
-	}
-	if pruning {
+	if e.pruning {
 		e.chkSlack = make([]float64, k)
 		e.alphaR = make([]float64, k)
 		e.sigmaR = make([]float64, k)
 		e.gammaR = make([]float64, k)
 		e.settled = make([]bool, n)
-		f := make([]float64, 2*n+2*k*m+2*k)
+		e.chkVer = make([]uint32, n*k)
+		// The float64 state comes out of one slab: a single zeroed
+		// allocation faults fewer fresh pages than four, and construction
+		// is on the measured online path of every Cluster call.
+		f := make([]float64, n*k+2*n+k*m+k)
+		e.lbR, f = f[:n*k:n*k], f[n*k:]
 		e.rCo, f = f[:n:n], f[n:]
 		e.drCo, f = f[:n:n], f[n:]
-		e.meanPrev, f = f[:k*m:k*m], f[k*m:]
-		e.sumFlat, f = f[:k*m:k*m], f[k*m:]
-		e.driftTot, f = f[:k:k], f[k:]
-		e.rowScratch = f
+		e.meanPrev, e.driftTot = f[:k*m:k*m], f[k*m:]
 	}
 	for c := range stats {
 		e.refresh(c)
@@ -282,8 +248,8 @@ func NewRelocEngine(kind RelocKind, mom *uncertain.Moments, stats []*Stats, prun
 }
 
 // refresh recomputes cluster c's scalar snapshot (and bound constants) from
-// its per-dimension statistics in O(m) and bumps the cluster's version,
-// invalidating every cached dot product against it.
+// its per-dimension statistics in O(m), syncs its sumFlat row, and bumps
+// the cluster's version, invalidating every settled verdict against it.
 func (e *RelocEngine) refresh(c int) {
 	s := e.stats[c]
 	// One fused sweep over the three statistics arrays; each accumulator
@@ -291,11 +257,13 @@ func (e *RelocEngine) refresh(c int) {
 	// separate loops.
 	sumArr := s.sum
 	psiArr, phiArr := s.psi[:len(sumArr)], s.phi[:len(sumArr)]
+	flat := e.sumFlat[c*e.m : (c+1)*e.m : (c+1)*e.m]
 	var psi, phi, ss float64
 	for j, v := range sumArr {
 		psi += psiArr[j]
 		phi += phiArr[j]
 		ss += v * v
+		flat[j] = v
 	}
 	e.psiTot[c], e.phiTot[c], e.sumSq[c] = psi, phi, ss
 	e.ver[c]++
@@ -305,10 +273,6 @@ func (e *RelocEngine) refresh(c int) {
 		// α of −Inf makes every settled test against this cluster fail, so
 		// objects rescan (and score the empty candidate exactly) until it
 		// gains members.
-		if e.pruning {
-			// Keep the packed sum matrix in sync for the flat row kernel.
-			copy(e.sumFlat[c*e.m:(c+1)*e.m], sumArr)
-		}
 		e.jCache[c] = 0
 		e.cNorm[c], e.invSize[c] = 0, 0
 		e.alpha[c], e.beta[c], e.gamma[c], e.jMag[c] = math.Inf(-1), 0, 0, 0
@@ -329,16 +293,14 @@ func (e *RelocEngine) refresh(c int) {
 	if !e.pruning {
 		return
 	}
-	// One more fused sweep: sync the packed sum matrix for the flat row
-	// kernel, accumulate the mean's movement (so the distance bounds decay
-	// by exactly the drift since they were written — triangle inequality),
-	// and snapshot the new mean. Construction-time refreshes seed the
-	// snapshot without counting drift — there is no earlier bound to decay.
+	// One more sweep: accumulate the mean's movement (so the distance
+	// bounds decay by exactly the drift since they were written — triangle
+	// inequality) and snapshot the new mean. Construction-time refreshes
+	// seed the snapshot without counting drift — there is no earlier bound
+	// to decay.
 	row := e.meanPrev[c*e.m : (c+1)*e.m : (c+1)*e.m]
-	flat := e.sumFlat[c*e.m : (c+1)*e.m : (c+1)*e.m]
 	var d2 float64
 	for j, v := range sumArr {
-		flat[j] = v
 		mj := v * inv
 		dv := mj - row[j]
 		d2 += dv * dv
@@ -382,20 +344,6 @@ func (e *RelocEngine) refresh(c int) {
 	}
 }
 
-// dot returns µ(o_i)·S_c from the cache, recomputing and re-stamping it on
-// version mismatch (or always, when the cache is size-capped away).
-func (e *RelocEngine) dot(i, c int) float64 {
-	if !e.cached {
-		return e.mom.MuDot(i, e.stats[c].sum)
-	}
-	idx := i*e.k + c
-	if e.dotVer[idx] != e.ver[c] {
-		e.dots[idx] = e.mom.MuDot(i, e.stats[c].sum)
-		e.dotVer[idx] = e.ver[c]
-	}
-	return e.dots[idx]
-}
-
 // addScore returns J(C_c ∪ {o}) (resp. J_MM) in O(1) from the scalar
 // snapshot and the object scalars.
 func (e *RelocEngine) addScore(c int, sig2o, m2t, mun2, dot float64) float64 {
@@ -432,30 +380,26 @@ func (e *RelocEngine) removeScore(c int, sig2o, m2t, mun2, dot float64) float64 
 // α + β·σ²(o) + γ·r² decomposition against the cluster's CURRENT
 // constants, and the object's own remove gain is bounded through its
 // decayed distance upper bound. Only when some candidate's bound dips
-// below zero (minus slack) does the object rescan. A rescanning object
-// refreshes its stale dot products in bulk — one vec.DotRows sweep over
-// the packed sumFlat matrix when most of the row is stale, targeted
-// DotBlock calls against the same matrix otherwise — then scores every
-// candidate exactly in O(1) and re-stores its bounds (the scan's dots
-// give every true distance for free via König–Huygens). Engine fields are
-// hoisted into locals because Go will not inline multi-argument method
-// calls into a loop this hot.
+// below zero (minus slack) does the object rescan. A rescanning object —
+// and every object of an unpruned sweep — fills its dot row with one
+// vec.DotRows sweep over sumFlat, scores every candidate exactly in O(1),
+// and (pruned) re-stores its bounds: the scan's dots give every true
+// distance for free via König–Huygens. Engine fields are hoisted into
+// locals because Go will not inline multi-argument method calls into a
+// loop this hot.
 //
 // The filter never decides a comparison: a settled skip proves no
 // candidate improves at all (so the exhaustive sweep would keep the object
 // in place too, for any minImprove ≥ 0), with a relative slack absorbing
-// the bound arithmetic's rounding, and the flat row kernel produces
-// bit-identical dots through the same DotBlock kernel the exhaustive path
-// uses. Pruned and unpruned runs therefore produce byte-identical
-// partitions.
+// the bound arithmetic's rounding. Pruned and unpruned runs therefore
+// produce byte-identical partitions.
 func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64) (int, error) {
 	k := e.k
 	moves := 0
 	mom := e.mom
 	m := e.m
-	cached := e.cached
-	ver, dots, dotVer := e.ver, e.dots, e.dotVer
-	sumFlat := e.sumFlat
+	pruning := e.pruning
+	ver, sumFlat, row := e.ver, e.sumFlat, e.rowScratch
 	jCache := e.jCache
 	lbR, driftTot := e.lbR, e.driftTot
 	alpha, beta, gamma, jMag, cNorm, invSize := e.alpha, e.beta, e.gamma, e.jMag, e.cNorm, e.invSize
@@ -481,7 +425,7 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 		mun2 := mom.MuNorm2(i)
 		m2t := mom.Mu2Tot(i)
 		base := i * k
-		if e.pruning && lbR != nil && e.settled[i] {
+		if pruning && e.settled[i] {
 			// Settled-object filter. Fast path: a verdict stamped under the
 			// current versions of both the candidate and the object's own
 			// cluster is still proven — nothing it depended on changed — so
@@ -505,18 +449,17 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 			// Slow path: lower-bound each stale candidate's delta with
 			// current constants and exactly-decayed distance bounds. (A
 			// bump of ver[co] re-tests every candidate: the remove side
-			// feeds each verdict.) The test escalates Elkan-style instead
-			// of giving up: a first bound failure buys one fresh dot on the
-			// object's OWN cluster (replacing the decayed remove-side upper
-			// bound with the exact remove gain, and re-anchoring the stored
-			// distance), a still-failing candidate buys its own fresh dot
-			// and an exact delta — bit-identical to the one a full scan
-			// would compute, so the comparison against zero needs no
-			// slack — and reseeds its pair bound. Only a candidate whose
-			// exact delta is negative forces the full scan below (which
-			// reuses every dot just computed from the cache). Verdicts from
-			// looser remove-side bounds stay sound after a tightening, so
-			// stamps never need rewinding.
+			// feeds each verdict.) The test escalates instead of giving up:
+			// a first bound failure buys one fresh dot on the object's OWN
+			// cluster (replacing the decayed remove-side upper bound with
+			// the exact remove gain, and re-anchoring the stored distance),
+			// a still-failing candidate buys its own fresh dot and an exact
+			// delta — bit-identical to the one a full scan would compute,
+			// so the comparison against zero needs no slack — and reseeds
+			// its pair bound. Only a candidate whose exact delta is
+			// negative forces the full scan below. Verdicts from looser
+			// remove-side bounds stay sound after a tightening, so stamps
+			// never need rewinding.
 			rUB := e.rCo[i] + (driftTot[co] - e.drCo[i])
 			rem := e.alphaR[co] + sig2o*e.sigmaR[co] + e.gammaR[co]*rUB*rUB
 			slackCo := pruneSlackRel * jMag[co]
@@ -543,18 +486,7 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 					// Tighten the remove side once, then retry this
 					// candidate with the exact rem.
 					exact = true
-					var dotCoF float64
-					if cached {
-						if dotVer[base+co] == ver[co] {
-							dotCoF = dots[base+co]
-						} else {
-							dotCoF = vec.DotBlock(mom.Mu(i), sumFlat[co*m:(co+1)*m])
-							dots[base+co] = dotCoF
-							dotVer[base+co] = ver[co]
-						}
-					} else {
-						dotCoF = vec.DotBlock(mom.Mu(i), sumFlat[co*m:(co+1)*m])
-					}
+					dotCoF := vec.DotBlock(mom.Mu(i), sumFlat[co*m:(co+1)*m])
 					rem = -(e.removeScore(co, sig2o, m2t, mun2, dotCoF) - jCache[co])
 					mqCo := cNorm[co] * cNorm[co]
 					r2Co := mun2 - 2*dotCoF*invSize[co] + mqCo + pruneSlack*(mun2+mqCo+1)
@@ -567,18 +499,7 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 					c--
 					continue
 				}
-				var dotC float64
-				if cached {
-					if dotVer[base+c] == ver[c] {
-						dotC = dots[base+c]
-					} else {
-						dotC = vec.DotBlock(mom.Mu(i), sumFlat[c*m:(c+1)*m])
-						dots[base+c] = dotC
-						dotVer[base+c] = ver[c]
-					}
-				} else {
-					dotC = vec.DotBlock(mom.Mu(i), sumFlat[c*m:(c+1)*m])
-				}
+				dotC := vec.DotBlock(mom.Mu(i), sumFlat[c*m:(c+1)*m])
 				if invSize[c] > 0 {
 					mq := cNorm[c] * cNorm[c]
 					r2 := mun2 - 2*dotC*invSize[c] + mq - pruneSlack*(mun2+mq+1)
@@ -601,50 +522,8 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 				continue
 			}
 		}
-		var dotCo float64
-		var row []float64
-		if e.pruning {
-			// Bulk-refresh the object's dot row. A mostly-stale row (the
-			// early-pass regime, where every move invalidates two
-			// clusters' dots for all n objects) is recomputed in one
-			// sequential vec.DotRows sweep over the L1-resident sumFlat
-			// matrix; a row with few stale entries gets targeted DotBlock
-			// calls against the same matrix. Either way the loop below
-			// sees only fresh dots.
-			if cached {
-				row = dots[base : base+k : base+k]
-				stale := 0
-				for c := 0; c < k; c++ {
-					if dotVer[base+c] != ver[c] {
-						stale++
-					}
-				}
-				if stale > 0 {
-					if stale*4 >= 3*k {
-						vec.DotRows(row, mom.Mu(i), sumFlat, m)
-						for c := 0; c < k; c++ {
-							dotVer[base+c] = ver[c]
-						}
-					} else {
-						mu := mom.Mu(i)
-						for c := 0; c < k; c++ {
-							if dotVer[base+c] != ver[c] {
-								row[c] = vec.DotBlock(mu, sumFlat[c*m:(c+1)*m])
-								dotVer[base+c] = ver[c]
-							}
-						}
-					}
-				}
-			} else {
-				// Dot table size-capped away: recompute the whole row into
-				// the per-engine scratch (the O(n+k) footprint mode).
-				row = e.rowScratch
-				vec.DotRows(row, mom.Mu(i), sumFlat, m)
-			}
-			dotCo = row[co]
-		} else {
-			dotCo = e.dot(i, co)
-		}
+		vec.DotRows(row, mom.Mu(i), sumFlat, m)
+		dotCo := row[co]
 		jCoRemoved := e.removeScore(co, sig2o, m2t, mun2, dotCo)
 		deltaRemove := jCoRemoved - jCache[co]
 
@@ -654,20 +533,8 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 			if c == co {
 				continue
 			}
-			var dot float64
-			if row != nil {
-				dot = row[c]
-			} else if cached && dotVer[base+c] == ver[c] {
-				dot = dots[base+c]
-			} else {
-				dot = vec.DotBlock(mom.Mu(i), e.stats[c].sum)
-				if cached {
-					dots[base+c] = dot
-					dotVer[base+c] = ver[c]
-				}
-			}
 			scannedN++
-			delta := deltaRemove + e.addScore(c, sig2o, m2t, mun2, dot) - jCache[c]
+			delta := deltaRemove + e.addScore(c, sig2o, m2t, mun2, row[c]) - jCache[c]
 			if delta < bestDelta {
 				bestDelta = delta
 				best = c
@@ -689,7 +556,7 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 				e.refresh(best)
 				e.totalJ += jCache[co] + jCache[best] - oldJ
 				assign[i] = best
-				if e.pruning {
+				if pruning {
 					e.settled[i] = false // new cluster: bounds must re-seed
 				}
 				moves++
@@ -701,7 +568,7 @@ func (e *RelocEngine) Pass(ctx context.Context, assign []int, minImprove float64
 		// ‖mean‖²), so store the settled bounds — lower bounds (deflated
 		// by the slack margin) for candidates, an upper bound (inflated)
 		// for the object's own cluster — in absolute-decay form.
-		if e.pruning && lbR != nil {
+		if pruning {
 			e.settled[i] = true
 			chkVer[base+co] = ver[co]
 			mqCo := cNorm[co] * cNorm[co]

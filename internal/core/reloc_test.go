@@ -13,7 +13,7 @@ import (
 // relocTestCase is one (dataset, k) workload shared by the engine tests:
 // a noisy single blob (many borderline candidates, lots of relocations)
 // and a separable mixture (fast convergence, settled clusters — the
-// regime the dot cache is designed for).
+// regime the settled filter is designed for).
 func relocTestCases(seed uint64) []struct {
 	name string
 	ds   uncertain.Dataset
@@ -213,87 +213,24 @@ func TestRelocObjectiveDeltaMaintained(t *testing.T) {
 	}
 }
 
-// TestRelocUncachedMatchesCached: the size-capped fallback (no dot cache)
-// must walk the same trajectory as the cached engine — fresh and cached
-// dots have identical bits, so partitions and iteration counts match.
-func TestRelocUncachedMatchesCached(t *testing.T) {
-	for _, kind := range []RelocKind{RelocUCPC, RelocMMVar} {
-		for _, seed := range []uint64{1, 42} {
-			tc := relocTestCases(seed)[0]
-			mom := uncertain.MomentsOf(tc.ds)
-			init := clustering.RandomPartition(len(tc.ds), tc.k, rng.New(seed^0xabc))
-
-			cachedAssign := append([]int(nil), init...)
-			_, cachedIters := engineRelocate(kind, mom, cachedAssign, tc.k, 100, 1e-12, true)
-
-			uncachedAssign := append([]int(nil), init...)
-			eng := NewRelocEngine(kind, mom, buildStats(mom, uncachedAssign, tc.k), true)
-			eng.cached, eng.dots, eng.dotVer = false, nil, nil
-			iters := 0
-			for iters < 100 {
-				iters++
-				moves, err := eng.Pass(context.Background(), uncachedAssign, 1e-12)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if moves == 0 {
-					break
-				}
-			}
-			if iters != cachedIters {
-				t.Errorf("kind %d seed %d: uncached %d iterations vs cached %d", kind, seed, iters, cachedIters)
-			}
-			for i := range cachedAssign {
-				if cachedAssign[i] != uncachedAssign[i] {
-					t.Fatalf("kind %d seed %d: partitions diverge at object %d", kind, seed, i)
-				}
-			}
-		}
-	}
-}
-
-// TestRelocDotCacheConsistency drives the engine and spot-checks that every
-// cached dot product with a matching version stamp equals a fresh
-// µ(o)·S computation bit for bit.
-func TestRelocDotCacheConsistency(t *testing.T) {
-	tc := relocTestCases(7)[0]
-	mom := uncertain.MomentsOf(tc.ds)
-	assign := clustering.RandomPartition(len(tc.ds), tc.k, rng.New(99))
-	eng := NewRelocEngine(RelocUCPC, mom, buildStats(mom, assign, tc.k), true)
-	for pass := 0; pass < 4; pass++ {
-		if _, err := eng.Pass(context.Background(), assign, 1e-12); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < eng.n; i++ {
-			for c := 0; c < eng.k; c++ {
-				idx := i*eng.k + c
-				if eng.dotVer[idx] != eng.ver[c] {
-					continue // stale entry, allowed to hold anything
-				}
-				if want := mom.MuDot(i, eng.stats[c].sum); eng.dots[idx] != want {
-					t.Fatalf("pass %d: cached dot (%d,%d) = %g, fresh = %g", pass, i, c, eng.dots[idx], want)
-				}
-			}
-		}
-	}
-}
-
 // TestRelocEnginePassZeroAllocs gates the zero-allocation contract of the
 // relocation sweep: at the converged fixed point (the steady state every
-// extra pass repeats), Pass performs no heap allocations.
+// extra pass repeats), Pass performs no heap allocations, pruned or not.
 func TestRelocEnginePassZeroAllocs(t *testing.T) {
 	for _, kind := range []RelocKind{RelocUCPC, RelocMMVar} {
-		tc := relocTestCases(11)[1]
-		mom := uncertain.MomentsOf(tc.ds)
-		assign := clustering.RandomPartition(len(tc.ds), tc.k, rng.New(5))
-		eng, _ := engineRelocate(kind, mom, assign, tc.k, 100, 1e-12, true)
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := eng.Pass(context.Background(), assign, 1e-12); err != nil {
-				t.Fatal(err)
+		for _, pruning := range []bool{true, false} {
+			tc := relocTestCases(11)[1]
+			mom := uncertain.MomentsOf(tc.ds)
+			assign := clustering.RandomPartition(len(tc.ds), tc.k, rng.New(5))
+			eng, _ := engineRelocate(kind, mom, assign, tc.k, 100, 1e-12, pruning)
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := eng.Pass(context.Background(), assign, 1e-12); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("kind %d pruning %v: %g allocs per steady-state pass, want 0", kind, pruning, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("kind %d: %g allocs per steady-state pass, want 0", kind, allocs)
 		}
 	}
 }

@@ -140,10 +140,10 @@ func (u *UCPC) cluster(ctx context.Context, ds uncertain.Dataset, k int, init []
 
 	// Lines 4-16: relocation passes until fixed point, run by the
 	// incremental-statistics engine (reloc.go): per-cluster scalar
-	// sufficient statistics with version counters and a cached µ(o)·S dot
-	// table make a candidate evaluation O(1) whenever the cluster is
-	// unchanged since the object's last scan, and O(m) only on version
-	// mismatch; the objective Σ_C J(C) is maintained by applied deltas.
+	// sufficient statistics make a candidate evaluation O(1) beyond one
+	// µ(o)·S dot product, the settled filter skips objects whose verdict
+	// still holds, and the objective Σ_C J(C) is maintained by applied
+	// deltas.
 	eng := NewRelocEngine(RelocUCPC, mom, stats, u.Pruning.Enabled())
 	iterations := 0
 	converged := false

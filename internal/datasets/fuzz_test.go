@@ -46,6 +46,12 @@ func FuzzReadUncertainCSV(f *testing.F) {
 	f.Add("N:0:1:5:5,0\n")   // empty truncation window: used to panic
 	f.Add("U:inf:inf,0\n")   // non-finite bounds: NaN moments
 	f.Add("P:nan,0\n")
+	// Discrete write-backs that used to change the marginal: unequal
+	// weights (mean 2.3 came back as 2), a dropped light atom, and ten
+	// uniform atoms that came back as eleven.
+	f.Add("D:1:0.2:2:0.3:3:0.5,0\n")
+	f.Add("D:0:0.9:1:0.1,0\n")
+	f.Add("D:1:1:2:1:3:1:4:1:5:1:6:1:7:1:8:1:9:1:10:1,0\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		if len(data) > 1<<16 {
 			t.Skip()
@@ -60,7 +66,8 @@ func FuzzReadUncertainCSV(f *testing.F) {
 		}
 		checkParsed(t, ds)
 		// Round trip: everything the reader accepts, the writer can encode
-		// and the reader accepts again with identical moments.
+		// and the reader accepts again with the same moments, up to the
+		// rounding of re-normalized Discrete weights.
 		var buf bytes.Buffer
 		if err := WriteUncertainCSV(&buf, ds); err != nil {
 			t.Fatalf("write-back of accepted input: %v", err)
@@ -71,6 +78,16 @@ func FuzzReadUncertainCSV(f *testing.F) {
 		}
 		if len(ds2) != len(ds) {
 			t.Fatalf("round trip: %d objects became %d", len(ds), len(ds2))
+		}
+		for i, o := range ds {
+			for j := 0; j < o.Dims(); j++ {
+				tol := 1e-12 * math.Max(1, o.SecondMoment()[j])
+				mu, v := ds2[i].Mean()[j], ds2[i].VarVector()[j]
+				if math.Abs(mu-o.Mean()[j]) > tol || math.Abs(v-o.VarVector()[j]) > tol {
+					t.Fatalf("round trip object %d dim %d: mean %v var %v became mean %v var %v",
+						i, j, o.Mean()[j], o.VarVector()[j], mu, v)
+				}
+			}
 		}
 	})
 }

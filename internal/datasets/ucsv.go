@@ -34,7 +34,7 @@ var ErrMalformed = errors.New("malformed dataset input")
 //
 // The format loses nothing for the four closed-form families used by the
 // uncertainty generator; Discrete marginals are serialized as their
-// supporting points: D:x1:w1:x2:w2:…
+// stored atoms, each with its own weight: D:x1:w1:x2:w2:…
 
 // WriteUncertainCSV serializes ds to w.
 func WriteUncertainCSV(w io.Writer, ds uncertain.Dataset) error {
@@ -87,7 +87,11 @@ func ReadUncertainCSV(r io.Reader) (uncertain.Dataset, error) {
 			}
 			ms[j] = d
 		}
-		ds = append(ds, uncertain.NewObject(rowNum-1, ms).WithLabel(label))
+		o := uncertain.NewObject(rowNum-1, ms).WithLabel(label)
+		if err := CheckObject(o); err != nil {
+			return nil, fmt.Errorf("datasets: ucsv row %d: %w", rowNum, err)
+		}
+		ds = append(ds, o)
 	}
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("datasets: empty ucsv input: %w", ErrMalformed)
@@ -135,9 +139,9 @@ func encodeDist(d dist.Distribution) (string, error) {
 	case dist.Discrete:
 		var b strings.Builder
 		b.WriteString("D")
-		for p := 0.0; p < 1; p += 1 / float64(t.N()) {
-			x := t.Quantile(p + 0.5/float64(t.N()))
-			b.WriteString(":" + f(x) + ":" + f(1/float64(t.N())))
+		for i := 0; i < t.N(); i++ {
+			x, w := t.Atom(i)
+			b.WriteString(":" + f(x) + ":" + f(w))
 		}
 		return b.String(), nil
 	default:
@@ -186,6 +190,23 @@ func checkMoments(d dist.Distribution) error {
 func CheckPoint(x float64) error {
 	if err := checkMoments(dist.NewPointMass(x)); err != nil {
 		return fmt.Errorf("point %v: %w", x, err)
+	}
+	return nil
+}
+
+// CheckObject rejects an object whose per-dimension second moments are
+// each finite but sum to an overflow, Σ_j µ₂ = +Inf (e.g. two coordinates
+// at 1e154). Every scalar the engines precompute (‖µ‖², σ², Σ_j µ₂) is
+// bounded by that sum, so such an object would sit at +Inf distance from
+// every prototype and silently land in cluster 0. Every reader of
+// untrusted objects calls it once per object.
+func CheckObject(o *uncertain.Object) error {
+	var s float64
+	for _, v := range o.SecondMoment() {
+		s += v
+	}
+	if !finite(s) {
+		return fmt.Errorf("second moments sum to %v: %w", s, ErrMalformed)
 	}
 	return nil
 }

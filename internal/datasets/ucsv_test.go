@@ -110,18 +110,23 @@ func TestUCSVGeneratedDatasetRoundTrip(t *testing.T) {
 
 func TestUCSVErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":          "",
-		"one field":      "P:1\n",
-		"bad label":      "P:1,xx\n",
-		"unknown family": "Z:1,0\n",
-		"bad params":     "U:1,0\n",
-		"bad number":     "P:abc,0\n",
-		"ragged dims":    "P:1,P:2,0\nP:1,0\n",
-		"discrete odd":   "D:1:0.5:2,0\n",
+		"empty":                    "",
+		"one field":                "P:1\n",
+		"bad label":                "P:1,xx\n",
+		"unknown family":           "Z:1,0\n",
+		"bad params":               "U:1,0\n",
+		"bad number":               "P:abc,0\n",
+		"ragged dims":              "P:1,P:2,0\nP:1,0\n",
+		"discrete odd":             "D:1:0.5:2,0\n",
+		"row sum overflows":        "P:1e154,P:1e154,0\n", // each µ₂ = 1e308 is finite, Σ_j µ₂ is not
+		"row sum overflows, mixed": "U:1e154:1e154,N:1e154:0:-inf:+inf,0\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadUncertainCSV(strings.NewReader(in)); err == nil {
+		_, err := ReadUncertainCSV(strings.NewReader(in))
+		if err == nil {
 			t.Errorf("%s: accepted %q", name, in)
+		} else if !errors.Is(err, ErrMalformed) && !errors.Is(err, uncertain.ErrDimMismatch) {
+			t.Errorf("%s: untyped error %v", name, err)
 		}
 	}
 }
@@ -172,15 +177,18 @@ var marginalCases = []struct {
 	{"E:1e-4:0:1", true}, // small λT: used to parse with σ² = 0.0832150 for 0.0833333
 	{"E:1e-9:0:1", true}, // used to be rejected as non-finite (closed-form σ² = −0.25)
 	{"D:1:0.2:2:0.3:3:0.5", true},
-	{"D:0:0.5:1:0.5", true},     // variance exactly at (hi-lo)²/4
-	{"D:3.3:0.5:7.7:0.5", true}, // two ulps above the bound by rounding
-	{"D:0.1:0.3:0.1:0.7", true}, // mean one ulp below the support
-	{"D:1:0:2:0", false},        // zero total weight
+	{"D:0:0.5:1:0.5", true},                   // variance exactly at (hi-lo)²/4
+	{"D:3.3:0.5:7.7:0.5", true},               // two ulps above the bound by rounding
+	{"D:0.1:0.3:0.1:0.7", true},               // mean one ulp below the support
+	{"D:1:0:2:0", false},                      // zero total weight
+	{"D:10:1:10:1:10:1", true},                // coinciding atoms: used to be rejected, m₂ − µ² < 0
+	{"D:123.456:1:123.456:1:123.456:1", true}, // used to parse with σ² = 1.8e-12
 }
 
 // momentsViolation restates checkMoments' invariants with a looser slack:
-// finite moments, the mean inside Support(), and 0 ≤ Var ≤ (hi−lo)²/4.
-// It returns "" when d satisfies them.
+// finite moments, the mean inside Support(), and 0 ≤ Var ≤ (hi−lo)²/4,
+// with Var exactly 0 on a zero-width support. It returns "" when d
+// satisfies them.
 func momentsViolation(d dist.Distribution) string {
 	const slack = 1e-12
 	mu, m2, v := d.Mean(), d.SecondMoment(), d.Var()
@@ -188,6 +196,8 @@ func momentsViolation(d dist.Distribution) string {
 	switch {
 	case !finite(mu) || !finite(m2) || !finite(v) || v < 0:
 		return "non-finite or negative moments"
+	case lo == hi && v != 0:
+		return "non-zero variance on a single point"
 	case mu < lo-slack*math.Abs(lo) || mu > hi+slack*math.Abs(hi):
 		return "mean outside support"
 	case v > (hi-lo)*(hi-lo)/4+slack*math.Max((hi-lo)*(hi-lo)/4, mu*mu):

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ucpc/internal/rng"
@@ -15,9 +16,11 @@ import (
 // sums. Construct with NewDiscrete — the zero value is unusable.
 type Discrete struct {
 	xs []float64 // sorted ascending
+	ws []float64 // normalized weights of xs
 	cw []float64 // cumulative weights; cw[len-1] == 1
 	mu float64
 	m2 float64
+	v  float64
 }
 
 // NewDiscrete returns the atomic distribution with the given support points
@@ -54,18 +57,28 @@ func NewDiscrete(xs, ws []float64) Discrete {
 
 	d := Discrete{
 		xs: make([]float64, n),
+		ws: make([]float64, n),
 		cw: make([]float64, n),
 	}
 	acc := 0.0
 	for i, a := range atoms {
 		w := a.w / total
-		d.xs[i] = a.x
+		d.xs[i], d.ws[i] = a.x, w
 		acc += w
 		d.cw[i] = acc
 		d.mu += w * a.x
 		d.m2 += w * a.x * a.x
 	}
 	d.cw[n-1] = 1 // absorb accumulation error so CDF tops out exactly at 1
+	// A rounded mean may land an ulp outside the atoms; clamp it, so that
+	// coinciding atoms have their own value as the mean and variance 0.
+	d.mu = math.Max(d.xs[0], math.Min(d.mu, d.xs[n-1]))
+	// The variance is summed as Σ w·(x − µ)², never as m₂ − µ², which
+	// cancels catastrophically and can round negative.
+	for i, x := range d.xs {
+		dx := x - d.mu
+		d.v += d.ws[i] * dx * dx
+	}
 	return d
 }
 
@@ -78,8 +91,9 @@ func (d Discrete) Mean() float64 { return d.mu }
 // SecondMoment returns Σ w_i·x_i².
 func (d Discrete) SecondMoment() float64 { return d.m2 }
 
-// Var returns the exact weighted variance.
-func (d Discrete) Var() float64 { return d.m2 - d.mu*d.mu }
+// Var returns the weighted variance Σ w_i·(x_i − µ)², which is never
+// negative.
+func (d Discrete) Var() float64 { return d.v }
 
 // Support returns [min x_i, max x_i].
 func (d Discrete) Support() (float64, float64) { return d.xs[0], d.xs[len(d.xs)-1] }
@@ -94,20 +108,15 @@ func (d Discrete) Sample(r *rng.RNG) float64 {
 	return d.xs[i]
 }
 
-// weight returns the probability mass of atom i.
-func (d Discrete) weight(i int) float64 {
-	if i == 0 {
-		return d.cw[0]
-	}
-	return d.cw[i] - d.cw[i-1]
-}
+// Atom returns stored atom i (0 ≤ i < N()) and its probability weight.
+func (d Discrete) Atom(i int) (x, w float64) { return d.xs[i], d.ws[i] }
 
 // PDF returns the total probability mass at exactly x (0 off the atoms).
 func (d Discrete) PDF(x float64) float64 {
 	i := sort.SearchFloat64s(d.xs, x)
 	var p float64
 	for ; i < len(d.xs) && d.xs[i] == x; i++ {
-		p += d.weight(i)
+		p += d.ws[i]
 	}
 	return p
 }

@@ -68,8 +68,8 @@ func measureSteadyAllocs(ctx context.Context, cfg PruneBenchConfig, ds uncertain
 	}
 
 	// Relocation sweeps (UCPC, MMV): one RelocEngine.Pass at the fixed
-	// point. The warm pass populates the dot cache; the measured passes
-	// apply no moves, the steady state of a converged local search.
+	// point. The warm pass seeds the settled filter's bounds; the measured
+	// passes apply no moves, the steady state of a converged local search.
 	for _, tc := range []struct {
 		name string
 		alg  clustering.Algorithm

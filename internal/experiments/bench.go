@@ -231,11 +231,11 @@ func hostCPUModel() string {
 // pruneBenchAlgorithms is the measured lineup: name, constructor per mode,
 // whether the row gates CI, the gated speedup floor, and the (reported,
 // unenforced) target. Every row is now gated. The relocation rows carry
-// the PR6 settled-object filter (full Elkan-style bounds over the
-// α + β·σ² + γ·r² decomposition), which cracked the dead zone the
-// always-on dot cache left behind: the pruned fraction went from ~1% to
-// 85% (UCPC) / 66% (MMV) and the filter eliminates >5× of the distance
-// arithmetic. The whole-run floors are set at what that buys end to end —
+// the settled-object filter (per-(object, cluster) distance bounds over
+// the α + β·σ² + γ·r² decomposition), which skips whole objects and so
+// escapes the dead zone of per-candidate bounds: the pruned fraction went
+// from ~1% to 85% (UCPC) / 66% (MMV) and the filter eliminates >5× of the
+// distance arithmetic. The whole-run floors are set at what that buys end to end —
 // 1.10× for UCPC, no-regression for MMV — because the early passes, where
 // most objects still move, are unprunable by construction (a mover's
 // candidates must be scored in full) and the move-application cost is

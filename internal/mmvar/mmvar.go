@@ -93,7 +93,8 @@ func (a *MMVar) cluster(ctx context.Context, ds uncertain.Dataset, k int, init [
 	// The relocation passes run on the shared incremental-statistics engine
 	// (core.RelocEngine): by Proposition 2 the J_MM scores reduce to the
 	// same per-cluster scalars as UCPC's, so candidate evaluation is O(1)
-	// on a dot-cache hit and the objective is maintained by applied deltas.
+	// beyond one µ(o)·S dot product and the objective is maintained by
+	// applied deltas.
 	eng := core.NewRelocEngine(core.RelocMMVar, mom, stats, a.Pruning.Enabled())
 	iterations, converged := 0, false
 	for iterations < maxIter {

@@ -96,6 +96,9 @@ func (p *objectsPayload) dataset() (ucpc.Dataset, error) {
 			ms[j] = d
 		}
 		obj := ucpc.NewObject(len(ds), ms)
+		if err := datasets.CheckObject(obj); err != nil {
+			return nil, fmt.Errorf("serve: object %d: %w", i, err)
+		}
 		if o.Label != nil {
 			obj.Label = *o.Label
 		} else {
@@ -113,6 +116,9 @@ func (p *objectsPayload) dataset() (ucpc.Dataset, error) {
 			}
 		}
 		o := ucpc.NewPointObject(len(ds), x)
+		if err := datasets.CheckObject(o); err != nil {
+			return nil, fmt.Errorf("serve: point %d: %w", i, err)
+		}
 		o.Label = -1
 		ds = append(ds, o)
 	}

@@ -17,9 +17,10 @@ import (
 )
 
 // TestOverflowingMomentsRejected: a point or P: token whose second moment
-// overflows is a 400 on assign and on observe. Such objects used to be
-// accepted and scored at +Inf distance from every prototype, so they all
-// landed in cluster 0.
+// overflows, or a row whose second moments each fit but sum to +Inf, is a
+// 400 on assign and on observe. Such objects used to be accepted and
+// scored at +Inf distance from every prototype, so they all landed in
+// cluster 0.
 func TestOverflowingMomentsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	do(t, "POST", ts.URL+"/v1/tenants", `{"id":"t1","k":3,"algorithm":"UKM","seed":1}`, 201, nil)
@@ -31,6 +32,8 @@ func TestOverflowingMomentsRejected(t *testing.T) {
 		`{"points":[[3,1e200]]}`,
 		`{"objects":[{"marginals":["P:1e200","P:0"]}]}`,
 		`{"objects":[{"marginals":["P:3","P:1e200"]}]}`,
+		`{"points":[[1e154,1e154]]}`,
+		`{"objects":[{"marginals":["P:1e154","P:1e154"]}]}`,
 	} {
 		do(t, "POST", base+"/assign", body, 400, nil)
 		do(t, "POST", base+"/observe", body, 400, nil)

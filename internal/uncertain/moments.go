@@ -39,8 +39,7 @@ type Moments struct {
 
 	// Precomputed per-object scalars consumed by the incremental relocation
 	// scoring engine (internal/core.RelocEngine): with these, a candidate
-	// add/remove score needs only one µ(o)·S dot product beyond O(1) work —
-	// and none at all when the dot is cached.
+	// add/remove score needs only one µ(o)·S dot product beyond O(1) work.
 	muNorm2 []float64 // n, ‖µ(o_i)‖²
 	muNorm  []float64 // n, ‖µ(o_i)‖
 	mu2Tot  []float64 // n, Σ_j (µ₂)_j(o_i)
@@ -172,14 +171,6 @@ func (mo *Moments) MuNorm(i int) float64 { return mo.muNorm[i] }
 // Mu2Tot returns the scalar raw second moment Σ_j (µ₂)_j(o_i), precomputed
 // at construction.
 func (mo *Moments) Mu2Tot(i int) float64 { return mo.mu2Tot[i] }
-
-// MuDot returns the dot product µ(o_i)·y of object i's mean row with an
-// arbitrary m-vector (the one O(m) term of the incremental Corollary-1
-// scoring; everything else is precomputed scalars). Routed through the
-// blocked kernel so every code path accumulates in the same order.
-func (mo *Moments) MuDot(i int, y []float64) float64 {
-	return vec.DotBlock(mo.mu[i*mo.m:(i+1)*mo.m], y)
-}
 
 // EED returns the squared expected distance ÊD(o_i, o_j) of Lemma 3,
 // computed entirely from the flat store:
