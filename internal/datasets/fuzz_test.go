@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,6 +169,9 @@ func FuzzSpecGenerate(f *testing.F) {
 	})
 }
 
+// FuzzParseMarginal: a token either parses to a distribution with valid
+// moments or is rejected with ErrMalformed, and ParseObject on the token
+// alone agrees, building the same distribution.
 func FuzzParseMarginal(f *testing.F) {
 	for _, tc := range marginalCases {
 		f.Add(tc.tok)
@@ -177,14 +181,21 @@ func FuzzParseMarginal(f *testing.F) {
 			t.Skip()
 		}
 		d, err := ParseMarginal(tok)
+		o, objErr := ParseObject(0, []string{tok})
+		if (err == nil) != (objErr == nil) {
+			t.Fatalf("%q: ParseMarginal err %v, ParseObject err %v", tok, err, objErr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("untyped parse error: %v", err)
+			if !errors.Is(err, ErrMalformed) || !errors.Is(objErr, ErrMalformed) {
+				t.Fatalf("untyped parse error: %v / %v", err, objErr)
 			}
 			return
 		}
 		if why := momentsViolation(d); why != "" {
 			t.Fatalf("%q accepted with %s (mean %v, variance %v)", tok, why, d.Mean(), d.Var())
+		}
+		if !reflect.DeepEqual(o.Marginal(0), d) {
+			t.Fatalf("%q: ParseObject built %#v, ParseMarginal %#v", tok, o.Marginal(0), d)
 		}
 	})
 }

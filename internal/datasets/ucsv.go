@@ -79,19 +79,11 @@ func ReadUncertainCSV(r io.Reader) (uncertain.Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("datasets: ucsv row %d label %q: %w", rowNum, rec[len(rec)-1], ErrMalformed)
 		}
-		ms := make([]dist.Distribution, len(rec)-1)
-		for j := 0; j < len(rec)-1; j++ {
-			d, err := decodeDist(rec[j])
-			if err != nil {
-				return nil, fmt.Errorf("datasets: ucsv row %d dim %d: %w", rowNum, j, err)
-			}
-			ms[j] = d
-		}
-		o := uncertain.NewObject(rowNum-1, ms).WithLabel(label)
-		if err := CheckObject(o); err != nil {
+		o, err := ParseObject(rowNum-1, rec[:len(rec)-1])
+		if err != nil {
 			return nil, fmt.Errorf("datasets: ucsv row %d: %w", rowNum, err)
 		}
-		ds = append(ds, o)
+		ds = append(ds, o.WithLabel(label))
 	}
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("datasets: empty ucsv input: %w", ErrMalformed)
@@ -110,7 +102,43 @@ func ReadUncertainCSV(r io.Reader) (uncertain.Dataset, error) {
 // This is the object wire format of the serving daemon's JSON payloads,
 // shared with the CSV reader so there is exactly one hardened parser.
 func ParseMarginal(tok string) (dist.Distribution, error) {
-	return decodeDist(tok)
+	d, err := decodeDist(tok)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkMoments(d); err != nil {
+		return nil, fmt.Errorf("token %q: %w", tok, err)
+	}
+	return d, nil
+}
+
+// ParseObject parses one object's marginal tokens into an object with the
+// given id (label -1), applying the checks of ParseMarginal and
+// CheckObject. Each token's closed form is evaluated once: the moment
+// check reads the moments and support the object caches.
+func ParseObject(id int, toks []string) (*uncertain.Object, error) {
+	if len(toks) == 0 {
+		return nil, fmt.Errorf("object has no marginals: %w", ErrMalformed)
+	}
+	ms := make([]dist.Distribution, len(toks))
+	for j, tok := range toks {
+		d, err := decodeDist(tok)
+		if err != nil {
+			return nil, fmt.Errorf("dim %d: %w", j, err)
+		}
+		ms[j] = d
+	}
+	o := uncertain.NewObject(id, ms)
+	mu, mu2, v, r := o.Mean(), o.SecondMoment(), o.VarVector(), o.Region()
+	for j, tok := range toks {
+		if err := checkMomentValues(mu[j], mu2[j], v[j], r.Lo[j], r.Hi[j]); err != nil {
+			return nil, fmt.Errorf("dim %d: token %q: %w", j, tok, err)
+		}
+	}
+	if err := CheckObject(o); err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 // FormatMarginal encodes a distribution as its ucsv marginal token, the
@@ -169,10 +197,17 @@ const momentUlps = 4 * 0x1p-52
 // is evaluated once, through dist.Moments.
 func checkMoments(d dist.Distribution) error {
 	mu, mu2, v := dist.Moments(d)
+	lo, hi := d.Support()
+	return checkMomentValues(mu, mu2, v, lo, hi)
+}
+
+// checkMomentValues is checkMoments on moments already evaluated: the
+// mean mu, second moment mu2 and variance v of a distribution supported
+// on [lo, hi].
+func checkMomentValues(mu, mu2, v, lo, hi float64) error {
 	if !finite(mu) || !finite(mu2) || !finite(v) || v < 0 {
 		return fmt.Errorf("parameters yield non-finite moments: %w", ErrMalformed)
 	}
-	lo, hi := d.Support()
 	if mu < lo-momentUlps*math.Abs(lo) || mu > hi+momentUlps*math.Abs(hi) {
 		return fmt.Errorf("mean %v outside support [%v, %v]: %w", mu, lo, hi, ErrMalformed)
 	}
@@ -215,18 +250,12 @@ func CheckObject(o *uncertain.Object) error {
 // constructors is validated away first, so malformed tokens always return a
 // wrapped ErrMalformed. It walks the colon-separated fields in place, so on
 // success the only allocations are the returned interface value and, for
-// D tokens, the atoms.
+// D tokens, the atoms. The moments are its callers' to check.
 func decodeDist(tok string) (dist.Distribution, error) {
 	name, rest, _ := strings.Cut(tok, ":")
 	nparams := strings.Count(tok, ":")
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("token %q: "+format+": %w", append(append([]any{tok}, args...), ErrMalformed)...)
-	}
-	checked := func(d dist.Distribution) (dist.Distribution, error) {
-		if err := checkMoments(d); err != nil {
-			return nil, fmt.Errorf("token %q: %w", tok, err)
-		}
-		return d, nil
 	}
 	var v [4]float64
 	nums := func(want int) error {
@@ -257,7 +286,7 @@ func decodeDist(tok string) (dist.Distribution, error) {
 		if err := nums(1); err != nil {
 			return nil, err
 		}
-		return checked(dist.NewPointMass(v[0]))
+		return dist.NewPointMass(v[0]), nil
 	case "U":
 		if err := nums(2); err != nil {
 			return nil, err
@@ -265,7 +294,7 @@ func decodeDist(tok string) (dist.Distribution, error) {
 		if !finite(v[0]) || !finite(v[1]) || v[1] < v[0] {
 			return nil, bad("invalid uniform bounds [%v, %v]", v[0], v[1])
 		}
-		return checked(dist.NewUniform(v[0], v[1]))
+		return dist.NewUniform(v[0], v[1]), nil
 	case "N":
 		if err := nums(4); err != nil {
 			return nil, err
@@ -274,12 +303,12 @@ func decodeDist(tok string) (dist.Distribution, error) {
 			return nil, bad("invalid normal location/scale (%v, %v)", v[0], v[1])
 		}
 		if v[2] == negInf && v[3] == posInf {
-			return checked(dist.NewNormal(v[0], v[1]))
+			return dist.NewNormal(v[0], v[1]), nil
 		}
 		if !finite(v[2]) || !finite(v[3]) || v[3] <= v[2] || v[1] == 0 {
 			return nil, bad("invalid truncation [%v, %v] for sigma %v", v[2], v[3], v[1])
 		}
-		return checked(dist.NewTruncNormal(v[0], v[1], v[2], v[3]))
+		return dist.NewTruncNormal(v[0], v[1], v[2], v[3]), nil
 	case "E":
 		want := 2
 		if nparams == 3 {
@@ -292,12 +321,12 @@ func decodeDist(tok string) (dist.Distribution, error) {
 			return nil, bad("invalid exponential rate/shift (%v, %v)", v[0], v[1])
 		}
 		if want == 2 || v[2] == posInf {
-			return checked(dist.NewExponential(v[0], v[1]))
+			return dist.NewExponential(v[0], v[1]), nil
 		}
 		if !finite(v[2]) || v[2] <= 0 {
 			return nil, bad("invalid exponential window %v", v[2])
 		}
-		return checked(dist.NewTruncExponential(v[0], v[1], v[2]))
+		return dist.NewTruncExponential(v[0], v[1], v[2]), nil
 	case "D":
 		if nparams%2 != 0 || nparams == 0 {
 			return nil, bad("discrete needs x:w pairs")
@@ -324,7 +353,7 @@ func decodeDist(tok string) (dist.Distribution, error) {
 		if total <= 0 || !finite(total) {
 			return nil, bad("discrete weights sum to %v", total)
 		}
-		return checked(dist.NewDiscrete(xs, ws))
+		return dist.NewDiscrete(xs, ws), nil
 	default:
 		return nil, bad("unknown marginal family %q", name)
 	}

@@ -463,3 +463,63 @@ func TestTruncExponentialSmallRate(t *testing.T) {
 		}
 	}
 }
+
+// upperTailWindows are truncated normals wholly above their mean (α > 0),
+// from just past the mode to 20σ out, where Φ(α) rounds to 1.
+func upperTailWindows() []TruncNormal {
+	return []TruncNormal{
+		NewTruncNormal(0, 1, 0.5, 3),
+		NewTruncNormal(-3, 2, 5, 20),
+		NewTruncNormal(0, 1, 8, 9),
+		NewTruncNormal(0, 1, 9, 10),
+		NewTruncNormal(0, 1, 20, 21),
+		NewTruncNormal(1e3, 0.5, 1003, 1004),
+	}
+}
+
+// TestTruncNormalUpperTailSampling: draws from an upper-tail window average
+// to its closed-form mean within 5 standard errors. Sampling inverts the
+// CDF, so a Quantile that cancels in Φ(α) + p·Z biases every draw.
+func TestTruncNormalUpperTailSampling(t *testing.T) {
+	const n = 10000
+	for _, tn := range upperTailWindows() {
+		r := rng.New(1)
+		var sum float64
+		for i := 0; i < n; i++ {
+			sum += tn.Sample(r)
+		}
+		mean, se := sum/n, math.Sqrt(tn.Var()/n)
+		if math.Abs(mean-tn.Mean()) > 5*se {
+			t.Errorf("%+v: sample mean %v vs Mean() %v (%.1f standard errors)",
+				tn, mean, tn.Mean(), math.Abs(mean-tn.Mean())/se)
+		}
+	}
+}
+
+// TestTruncNormalUpperTailCDF: on upper-tail windows the PDF is finite, the
+// CDF rises monotonically through [0, 1], and Quantile inverts it wherever
+// the CDF is at least 1e-9 from 0 and 1 (closer, p's rounding alone moves
+// the quantile further than the tolerance).
+func TestTruncNormalUpperTailCDF(t *testing.T) {
+	for _, tn := range upperTailWindows() {
+		w := tn.Hi - tn.Lo
+		prev := 0.0
+		for i := 1; i < 200; i++ {
+			x := tn.Lo + w*float64(i)/200
+			if f := tn.PDF(x); !(f > 0) || math.IsInf(f, 0) {
+				t.Fatalf("%+v: PDF(%v) = %v", tn, x, f)
+			}
+			c := tn.CDF(x)
+			if !(c >= prev && c <= 1) {
+				t.Fatalf("%+v: CDF(%v) = %v after %v", tn, x, c, prev)
+			}
+			prev = c
+			if c < 1e-9 || c > 1-1e-9 {
+				continue
+			}
+			if q := tn.Quantile(c); math.Abs(q-x) > 1e-6*w {
+				t.Fatalf("%+v: Quantile(CDF(%v)) = %v", tn, x, q)
+			}
+		}
+	}
+}

@@ -162,8 +162,9 @@ func (t TruncNormal) bounds() (alpha, beta, z float64) {
 // wholly in the upper tail (α > 0). There Z = Φ(β) − Φ(α) subtracts two
 // values close to 1 and cancels catastrophically, while the mirror's
 // Z = Φ(−α) − Φ(−β) subtracts two small tail masses, each accurate from
-// erfc. The moments use the mirror for such windows: the mean negates and
-// the variance is unchanged.
+// erfc. Every method answers such windows from the mirror: X = −Y with Y
+// distributed as the mirror, so the mean negates, the variance is
+// unchanged, f(x) = f_Y(−x), F(x) = P(Y ≥ −x) and F⁻¹(p) = −F_Y⁻¹(1−p).
 func (t TruncNormal) mirror() (TruncNormal, bool) {
 	alpha := (t.Lo - t.Mu) / t.Sigma
 	return TruncNormal{Mu: -t.Mu, Sigma: t.Sigma, Lo: -t.Hi, Hi: -t.Lo}, alpha > 0
@@ -221,17 +222,25 @@ func (t TruncNormal) PDF(x float64) float64 {
 	if x < t.Lo || x > t.Hi {
 		return 0
 	}
+	if mt, upper := t.mirror(); upper {
+		return mt.PDF(-x)
+	}
 	_, _, z := t.bounds()
 	return stdPDF((x-t.Mu)/t.Sigma) / (t.Sigma * z)
 }
 
-// CDF returns (Φ((x−Mu)/Sigma) − Φ(α))/Z clamped to [0, 1].
+// CDF returns (Φ((x−Mu)/Sigma) − Φ(α))/Z, 0 below Lo and 1 above Hi.
 func (t TruncNormal) CDF(x float64) float64 {
 	if x <= t.Lo {
 		return 0
 	}
 	if x >= t.Hi {
 		return 1
+	}
+	if mt, upper := t.mirror(); upper {
+		// P(Y ≥ −x) = (Φ(β_Y) − Φ(y))/Z_Y, two lower-tail masses.
+		_, beta, z := mt.bounds()
+		return clamp01((stdCDF(beta) - stdCDF((-x-mt.Mu)/mt.Sigma)) / z)
 	}
 	alpha, _, z := t.bounds()
 	return (stdCDF((x-t.Mu)/t.Sigma) - stdCDF(alpha)) / z
@@ -240,8 +249,16 @@ func (t TruncNormal) CDF(x float64) float64 {
 // Quantile returns Mu + Sigma·Φ⁻¹(Φ(α) + p·Z), clamped to [Lo, Hi].
 func (t TruncNormal) Quantile(p float64) float64 {
 	p = clamp01(p)
-	alpha, _, z := t.bounds()
-	x := t.Mu + t.Sigma*stdQuantile(stdCDF(alpha)+p*z)
+	var x float64
+	if mt, upper := t.mirror(); upper {
+		// −F_Y⁻¹(1−p) = −(Mu_Y + Sigma·Φ⁻¹(Φ(β_Y) − p·Z_Y)), without
+		// forming 1−p.
+		_, beta, z := mt.bounds()
+		x = -(mt.Mu + mt.Sigma*stdQuantile(stdCDF(beta)-p*z))
+	} else {
+		alpha, _, z := t.bounds()
+		x = t.Mu + t.Sigma*stdQuantile(stdCDF(alpha)+p*z)
+	}
 	// Guard the endpoints against floating-point spill.
 	if x < t.Lo {
 		return t.Lo

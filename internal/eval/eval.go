@@ -145,8 +145,20 @@ func interSum(a, b clusterSums) float64 {
 // [0,1]. Clusters with fewer than two members contribute 0 to intra
 // (their pair set is empty). Noise objects are ignored.
 func IntraInter(ds uncertain.Dataset, p clustering.Partition) (intra, inter float64) {
+	return intraInter(ds, p, QualityNorm(ds))
+}
+
+// QualityNorm is the normalizer IntraInter divides by: ds's maximum
+// pairwise ÊD, estimated on a sample of at most 2000 objects. It depends
+// on ds alone, so a caller scoring several partitions of one dataset
+// computes it once.
+func QualityNorm(ds uncertain.Dataset) float64 {
+	return uncertain.MaxPairwiseEED(ds, 2000)
+}
+
+// intraInter is IntraInter with the normalizer given.
+func intraInter(ds uncertain.Dataset, p clustering.Partition, norm float64) (intra, inter float64) {
 	cs := accumulate(ds, p)
-	norm := uncertain.MaxPairwiseEED(ds, 2000)
 
 	nonEmpty := 0
 	for _, c := range cs {
@@ -184,7 +196,13 @@ func IntraInter(ds uncertain.Dataset, p clustering.Partition) (intra, inter floa
 // Quality is the combined internal score Q(C) = inter(C) − intra(C),
 // ranging in [−1, 1]; higher is better.
 func Quality(ds uncertain.Dataset, p clustering.Partition) float64 {
-	intra, inter := IntraInter(ds, p)
+	return QualityWithNorm(ds, p, QualityNorm(ds))
+}
+
+// QualityWithNorm is Quality with the normalizer given; QualityNorm(ds)
+// yields Quality's exactly.
+func QualityWithNorm(ds uncertain.Dataset, p clustering.Partition, norm float64) float64 {
+	intra, inter := intraInter(ds, p, norm)
 	return inter - intra
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -601,13 +602,35 @@ func TestAdmissionConservationHTTP(t *testing.T) {
 	}
 }
 
+// stepClock advances by the next step of a seeded sequence, 80–120 µs, at
+// every reading, so the wall-time cost samples a sequential test produces
+// are fixed data whatever the box's load.
+type stepClock struct {
+	mu sync.Mutex
+	t  time.Time
+	r  *rand.Rand
+}
+
+func newStepClock(seed int64) *stepClock {
+	return &stepClock{t: time.Unix(1_000_000, 0), r: rand.New(rand.NewSource(seed))}
+}
+
+func (c *stepClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(80*time.Microsecond + time.Duration(c.r.Int63n(int64(40*time.Microsecond))))
+	return c.t
+}
+
 // TestCostModelAccuracyInProcess is the satellite accuracy gate as a unit
 // test: a synthetic tenant with pruning disabled (every candidate scanned —
 // the steadiest per-object serving cost), driven sequentially so every
 // sample is uncontended, must hold its EWMA within 30% of the exact
-// measured mean the daemon tracks alongside it.
+// measured mean the daemon tracks alongside it. The daemon reads a seeded
+// step clock, so the check runs on the same samples on every run.
 func TestCostModelAccuracyInProcess(t *testing.T) {
-	_, ts := newTestServer(t, Config{Admission: true})
+	clk := newStepClock(11)
+	_, ts := newTestServer(t, Config{Admission: true, clock: clk.now})
 	do(t, "POST", ts.URL+"/v1/tenants",
 		`{"id":"acc","k":3,"seed":11,"pruning":"off","admission":"on"}`, 201, nil)
 	base := ts.URL + "/v1/tenants/acc"

@@ -11,7 +11,6 @@ import (
 
 	"ucpc"
 	"ucpc/internal/datasets"
-	"ucpc/internal/dist"
 )
 
 // errBadRequest marks client-side request defects (malformed JSON, invalid
@@ -56,77 +55,6 @@ var (
 	// errBusy marks a refresh rejected because one is already running.
 	errBusy = errors.New("a refresh is already running")
 )
-
-// objectsPayload is the JSON object container shared by the observe, fit,
-// assign, and refresh endpoints. Objects carry full marginal distributions
-// as ucsv tokens (the hardened datasets parser decodes them); points are
-// plain vectors turned into deterministic objects, each coordinate checked
-// like a "P:x" token. Both may appear in one payload; objects come first in
-// the resulting dataset order.
-type objectsPayload struct {
-	Objects []objectJSON `json:"objects,omitempty"`
-	Points  [][]float64  `json:"points,omitempty"`
-}
-
-// objectJSON is one uncertain object: per-dimension marginal tokens
-// ("P:x", "U:lo:hi", "N:mu:sigma:lo:hi", "E:rate:shift:T", "D:x:w:…") and
-// an optional class label.
-type objectJSON struct {
-	Marginals []string `json:"marginals"`
-	Label     *int     `json:"label,omitempty"`
-}
-
-// dataset decodes the payload into a ucpc.Dataset.
-func (p *objectsPayload) dataset() (ucpc.Dataset, error) {
-	n := len(p.Objects) + len(p.Points)
-	if n == 0 {
-		return nil, fmt.Errorf("serve: payload carries no objects: %w", errBadRequest)
-	}
-	ds := make(ucpc.Dataset, 0, n)
-	for i, o := range p.Objects {
-		if len(o.Marginals) == 0 {
-			return nil, fmt.Errorf("serve: object %d has no marginals: %w", i, errBadRequest)
-		}
-		ms := make([]dist.Distribution, len(o.Marginals))
-		for j, tok := range o.Marginals {
-			d, err := datasets.ParseMarginal(tok)
-			if err != nil {
-				return nil, fmt.Errorf("serve: object %d dim %d: %w", i, j, err)
-			}
-			ms[j] = d
-		}
-		obj := ucpc.NewObject(len(ds), ms)
-		if err := datasets.CheckObject(obj); err != nil {
-			return nil, fmt.Errorf("serve: object %d: %w", i, err)
-		}
-		if o.Label != nil {
-			obj.Label = *o.Label
-		} else {
-			obj.Label = -1
-		}
-		ds = append(ds, obj)
-	}
-	for i, x := range p.Points {
-		if len(x) == 0 {
-			return nil, fmt.Errorf("serve: point %d is empty: %w", i, errBadRequest)
-		}
-		for j, v := range x {
-			if err := datasets.CheckPoint(v); err != nil {
-				return nil, fmt.Errorf("serve: point %d dim %d: %w", i, j, err)
-			}
-		}
-		o := ucpc.NewPointObject(len(ds), x)
-		if err := datasets.CheckObject(o); err != nil {
-			return nil, fmt.Errorf("serve: point %d: %w", i, err)
-		}
-		o.Label = -1
-		ds = append(ds, o)
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
 
 // tenantInfo is the JSON shape of one tenant on the read surface.
 type tenantInfo struct {
@@ -210,21 +138,6 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, httpStatus(err), map[string]string{"error": err.Error()})
 }
 
-// decodeBody decodes the request body as JSON into v, with the server's
-// body-size cap applied.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fmt.Errorf("serve: body exceeds %d bytes: %w", tooBig.Limit, errBadRequest)
-		}
-		return fmt.Errorf("serve: malformed JSON body: %v: %w", err, errBadRequest)
-	}
-	return nil
-}
-
 // tenantOr404 resolves the {id} path value, answering 404 itself when the
 // tenant does not exist.
 func (s *Server) tenantOr404(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
@@ -303,27 +216,28 @@ func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleObserve: POST /v1/tenants/{id}/observe — streaming ingestion. The
-// payload is parsed synchronously (malformed input stays a 400 on this
-// request) and then handed to the tenant's bounded queue; a full queue is
-// explicit backpressure: 429 with Retry-After, and the payload is dropped.
+// handleObserve: POST /v1/tenants/{id}/observe — streaming ingestion.
+// Admission decides on the scanned object count; the payload is then parsed
+// synchronously (malformed input stays a 400 on this request) and handed to
+// the tenant's bounded queue. A full queue is explicit backpressure: 429
+// with Retry-After, and the payload is dropped.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenantOr404(w, r)
 	if !ok {
 		return
 	}
-	var payload objectsPayload
-	if err := s.decodeBody(w, r, &payload); err != nil {
-		writeErr(w, err)
-		return
-	}
-	ds, err := payload.dataset()
+	p, err := s.readPayload(w, r, false)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if dec := t.adm.admit(routeObserve, len(ds), t.queued.Load()); dec.verdict != admitOK {
+	if dec := t.adm.admit(routeObserve, p.n, t.queued.Load()); dec.verdict != admitOK {
 		writeShed(w, t.id, "observe", dec)
+		return
+	}
+	ds, err := p.dataset()
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	if !t.enqueue(ds) {
@@ -351,12 +265,12 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var payload objectsPayload
-	if err := s.decodeBody(w, r, &payload); err != nil {
+	p, err := s.readPayload(w, r, false)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	ds, err := payload.dataset()
+	ds, err := p.dataset()
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -408,8 +322,8 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req refreshRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	req, err := s.readPayload(w, r, true)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -482,22 +396,25 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	// histogram, the figure the admission layer's budget is judged against.
 	entry := t.adm.now()
 	wallStart := time.Now()
-	var payload objectsPayload
-	if err := s.decodeBody(w, r, &payload); err != nil {
-		writeErr(w, err)
-		return
-	}
-	ds, err := payload.dataset()
+	p, err := s.readPayload(w, r, false)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	dec := t.adm.admit(routeAssign, len(ds), 0)
+	// Admission decides on the object count the scan yields, before any
+	// token is parsed, so a shed request costs the daemon little more than
+	// reading its body.
+	dec := t.adm.admit(routeAssign, p.n, 0)
 	if dec.verdict != admitOK {
 		writeShed(w, t.id, "assign", dec)
 		return
 	}
-	defer t.adm.exit(routeAssign, len(ds))
+	defer t.adm.exit(routeAssign, p.n)
+	ds, err := p.dataset()
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	sm := t.serving.Load()
 	model := sm.model
 	if model == nil {

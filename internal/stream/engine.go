@@ -241,7 +241,10 @@ func (e *Engine) seedResident() {
 	e.ws.AddAssigned(e.store, assign)
 	e.ws.CentersInto(e.means, e.adds)
 	e.refineSeed()
-	qRand := eval.Quality(e.seedObjs, clustering.Partition{K: e.k, Assign: e.assign[:n]})
+	// Both candidates are scored over the same window, so Q's O(n²)
+	// normalizer is computed once.
+	norm := eval.QualityNorm(e.seedObjs)
+	qRand := eval.QualityWithNorm(e.seedObjs, clustering.Partition{K: e.k, Assign: e.assign[:n]}, norm)
 	bestWS := core.NewWStats(e.k, m)
 	bestWS.CopyFrom(e.ws)
 	bestMeans := append([]float64(nil), e.means...)
@@ -254,7 +257,7 @@ func (e *Engine) seedResident() {
 		e.adds[c] = e.store.TotalVar(i)
 	}
 	e.refineSeed()
-	if qRand >= eval.Quality(e.seedObjs, clustering.Partition{K: e.k, Assign: e.assign[:n]}) {
+	if qRand >= eval.QualityWithNorm(e.seedObjs, clustering.Partition{K: e.k, Assign: e.assign[:n]}, norm) {
 		e.ws.CopyFrom(bestWS)
 		copy(e.means, bestMeans)
 		copy(e.adds, bestAdds)
